@@ -16,8 +16,9 @@ Quick start
 >>> overlay.route(ids[0], ids[2]).owner == ids[2]
 True
 
-See ``examples/quickstart.py`` for a guided tour and ``DESIGN.md`` for the
-full system inventory.
+See ``examples/quickstart.py`` for a guided tour, each subpackage's
+docstring for its inventory, and ``ROADMAP.md`` for the system's state and
+open work.
 """
 
 from repro.core import (

@@ -2,8 +2,8 @@
 
 The benchmark harness has no plotting dependency; results are printed as
 text so the figures of the paper can be eyeballed straight from the bench
-logs (`pytest benchmarks/ --benchmark-only -s`) and recorded verbatim in
-``EXPERIMENTS.md``.
+logs (`pytest benchmarks/ --benchmark-only -s`); ``benchmarks/README.md``
+describes each benchmark and its committed record.
 """
 
 from __future__ import annotations

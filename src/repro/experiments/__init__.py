@@ -4,7 +4,7 @@ Each module implements one experiment as a pure library function returning
 a structured result, plus a text formatter.  The benchmark harness
 (``benchmarks/``) and the command-line runner (``python -m
 repro.experiments``) are thin wrappers around these drivers, so the exact
-same code path produces the numbers recorded in ``EXPERIMENTS.md``.
+same code path produces the numbers recorded in ``benchmarks/README.md``.
 
 | Experiment | Paper figure | Driver |
 |---|---|---|
@@ -18,7 +18,7 @@ same code path produces the numbers recorded in ``EXPERIMENTS.md``.
 | Churn/crash repair (protocol) | (ABL4)   | :mod:`repro.experiments.ablation_churn_protocol` |
 
 Every driver accepts a ``scale`` factor: 1.0 is the laptop-sized default
-documented in ``EXPERIMENTS.md``; larger values approach the paper's
+(see :mod:`repro.experiments.runner`); larger values approach the paper's
 300 000-object runs at correspondingly larger runtimes.
 """
 

@@ -33,14 +33,12 @@ from repro.serving.estimators import StreamingPercentiles
 from repro.serving.harness import (build_adapters, make_flash_sampler,
                                    make_sampler, run_protocol_serving,
                                    run_shootout, twin_parity)
-from repro.serving.observability import (AvailabilityTracker, LoadTracker,
-                                         WindowTracker)
+from repro.serving.observability import LoadTracker, WindowTracker
 from repro.serving.traffic import (Schedule, build_schedule,
                                    serve_closed_loop, serve_open_loop,
                                    serve_protocol_closed_loop)
 
 __all__ = [
-    "AvailabilityTracker",
     "ChordServing",
     "KleinbergServing",
     "LoadTracker",

@@ -37,14 +37,16 @@ Fault injection and self-healing
 --------------------------------
 :mod:`repro.simulation.faults` adds the crash story the paper leaves
 open: a ``FaultPlane`` woven into the network layer (crashed nodes,
-probabilistic loss/delay, partitions on the virtual clock), heartbeat
-failure detection with per-node suspect lists, and a phased repair
-protocol that heals surviving views — Voronoi scrubs, long-link
-re-resolution through the routed search machinery, close re-discovery —
-entirely through counted messages.  ``ProtocolChurnHarness`` wires it all
-into one reproducible churn/crash/repair experiment; the oracle-mode
-injectors in :mod:`repro.simulation.failures` remain the fast path for
-damage accounting without message simulation.
+probabilistic loss/delay, and partitions — every partition is a
+``SplitSpec`` of named sides on the virtual clock), heartbeat failure
+detection with per-node suspect lists, and a phased repair protocol that
+heals surviving views — Voronoi scrubs, long-link re-resolution through
+the routed search machinery, close re-discovery — entirely through
+counted messages.  ``ProtocolChurnHarness`` wires it all into one
+reproducible churn/crash/repair experiment; the oracle-mode injectors in
+:mod:`repro.simulation.failures` remain the fast path for damage
+accounting without message simulation, and both injectors count damage
+through its one census, ``census_gone_references``.
 
 Crash-at-any-message hardening and fuzzing
 ------------------------------------------
@@ -57,9 +59,11 @@ timeouts with idempotent, version-stamped retries under a
 Jepsen-style harness: ``CrashScheduleFuzzer`` crashes victims at exact
 global message indices — multi-crash sequences and partition windows
 armed the same way — and asserts convergence back to clean views, with
-every failure replayable from its serialized ``FuzzTrace`` (the classic
-single-crash ``(seed, message_index, victim_rank)`` triple is the
-one-event special case; see ``TESTING.md``).
+every failure replayable from its serialized ``FuzzTrace`` (the CLI's
+``SEED:INDEX:RANK`` triple is shorthand for a one-crash trace; see
+``TESTING.md``).  Import its names from the module itself: the package
+does not re-export them, so ``python -m repro.simulation.fuzz`` runs the
+module exactly once.
 
 Partitions and merge
 --------------------
@@ -90,13 +94,13 @@ from repro.simulation.failures import (
     CrashInjector,
     PartitionDamageReport,
     assess_partition_damage,
+    census_gone_references,
 )
 from repro.simulation.faults import (
     FaultDecision,
     FaultPlane,
     HeartbeatConfig,
     HeartbeatDetector,
-    PartitionSpec,
     ProtocolChurnHarness,
     ProtocolChurnReport,
     ProtocolCrashInjector,
@@ -104,16 +108,8 @@ from repro.simulation.faults import (
     RepairReport,
     SplitSpec,
 )
-from repro.simulation.fuzz import (
-    CrashEvent,
-    CrashSchedule,
-    CrashScheduleFuzzer,
-    FuzzOutcome,
-    FuzzSweepReport,
-    FuzzTrace,
-    PartitionEvent,
-)
 from repro.simulation.merge import (
+    AvailabilityTracker,
     HealSummary,
     MergeHarnessReport,
     MergeProtocol,
@@ -145,17 +141,18 @@ __all__ = [
     "CrashInjector",
     "PartitionDamageReport",
     "assess_partition_damage",
+    "census_gone_references",
     "FaultDecision",
     "FaultPlane",
     "HeartbeatConfig",
     "HeartbeatDetector",
-    "PartitionSpec",
     "SplitSpec",
     "ProtocolChurnHarness",
     "ProtocolChurnReport",
     "ProtocolCrashInjector",
     "RepairProtocol",
     "RepairReport",
+    "AvailabilityTracker",
     "HealSummary",
     "MergeHarnessReport",
     "MergeProtocol",
@@ -168,11 +165,4 @@ __all__ = [
     "LeaveReport",
     "QueryReport",
     "TimeoutPolicy",
-    "CrashEvent",
-    "CrashSchedule",
-    "CrashScheduleFuzzer",
-    "FuzzOutcome",
-    "FuzzSweepReport",
-    "FuzzTrace",
-    "PartitionEvent",
 ]

@@ -14,16 +14,16 @@ Two injectors drive dynamism experiments:
 Both injectors speak the *oracle* overlay.  The message-level counterpart —
 crash/loss/partition injection through the network layer, heartbeat failure
 detection and the self-healing repair protocol — lives in
-:mod:`repro.simulation.faults`.  :func:`assess_partition_damage` is the
-shared census both the fault harnesses and the partition-merge runtime
-(:mod:`repro.simulation.merge`) use to quantify cross-side divergence in
-the same stale-reference terms as :class:`CrashDamageReport`.
+:mod:`repro.simulation.faults`.  :func:`census_gone_references` is the one
+damage census: both crash injectors and :func:`assess_partition_damage`
+(the partition-merge runtime's cross-side divergence count,
+:mod:`repro.simulation.merge`) report through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.overlay import VoroNet
 from repro.geometry.point import Point
@@ -33,7 +33,45 @@ from repro.utils.rng import RandomSource
 from repro.workloads.distributions import ObjectDistribution, UniformDistribution
 
 __all__ = ["ChurnScheduler", "CrashInjector", "CrashDamageReport",
-           "PartitionDamageReport", "assess_partition_damage"]
+           "PartitionDamageReport", "assess_partition_damage",
+           "across_split", "among_crashed", "census_gone_references",
+           "crash_damage", "protocol_references"]
+
+#: One holder's references by kind: ``(holder, voronoi, close, long-link
+#: endpoints, back-link sources)``, each kind an iterable of peer ids.
+ReferenceRow = Tuple[int, Iterable[int], Iterable[int], Iterable[int],
+                     Iterable[int]]
+
+
+def census_gone_references(rows: Iterable[ReferenceRow],
+                           gone: Callable[[int, int], bool],
+                           ) -> Tuple[int, int, int, int, int]:
+    """Count the references live holders keep to gone peers.
+
+    ``gone(holder, peer)`` names a peer the holder can no longer reach: a
+    crashed id, or one across a split.  Returns the stale counts per kind
+    — Voronoi, close, long link, back link — and how many holders keep at
+    least one.
+    """
+    counts = [0, 0, 0, 0]
+    holders = 0
+    for holder, *kinds in rows:
+        stale_here = False
+        for index, peers in enumerate(kinds):
+            stale = sum(1 for peer in peers if gone(holder, peer))
+            if stale:
+                counts[index] += stale
+                stale_here = True
+        holders += stale_here
+    return counts[0], counts[1], counts[2], counts[3], holders
+
+
+def protocol_references(nodes: Dict[int, object]) -> Iterable[ReferenceRow]:
+    """Census rows of protocol nodes (the ``ProtocolNode`` view shape)."""
+    for object_id, node in nodes.items():
+        yield (object_id, node.voronoi, node.close,
+               [link.neighbor for link in node.long_links],
+               [source for source, _index in node.back_links])
 
 
 class ChurnScheduler:  # simlint: ignore[SIM003] — one per experiment, not per message
@@ -165,6 +203,25 @@ class CrashDamageReport:
                 + self.dangling_back_links + self.stale_voronoi_entries)
 
 
+def among_crashed(crashed: Iterable[int]) -> Callable[[int, int], bool]:
+    """The ``gone`` rule of crashes: the peer is one of ``crashed``."""
+    dead = set(crashed)
+    return lambda _holder, peer: peer in dead
+
+
+def crash_damage(rows: Iterable[ReferenceRow],
+                 crashed: Sequence[int]) -> CrashDamageReport:
+    """The :class:`CrashDamageReport` of references to ``crashed`` ids."""
+    dead = set(crashed)
+    voronoi, close, longs, backs, affected = census_gone_references(
+        rows, among_crashed(dead))
+    return CrashDamageReport(crashed=len(dead), dangling_long_links=longs,
+                             stale_close_neighbors=close,
+                             affected_objects=affected,
+                             dangling_back_links=backs,
+                             stale_voronoi_entries=voronoi)
+
+
 class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per message
     """Abruptly removes objects from an oracle-mode overlay.
 
@@ -214,34 +271,20 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
         self._crashed.append(object_id)
 
     def assess_damage(self) -> CrashDamageReport:
-        """Count dangling references the crashes left in surviving objects."""
+        """Count dangling references the crashes left in surviving objects.
+
+        Oracle views derive their Voronoi neighbours from the shared
+        kernel, which the crash already repaired, so only close, long and
+        back references are counted.
+        """
         overlay = self._overlay
-        crashed = set(self._crashed)
-        dangling_links = 0
-        stale_close = 0
-        dangling_back = 0
-        affected = set()
+        rows = []
         for object_id in overlay.object_ids():
             node = overlay.node(object_id)
-            for link in node.long_links:
-                if link.neighbor in crashed:
-                    dangling_links += 1
-                    affected.add(object_id)
-            for close_id in node.close_neighbors:
-                if close_id in crashed:
-                    stale_close += 1
-                    affected.add(object_id)
-            for back_link in node.back_links:
-                if back_link.source in crashed:
-                    dangling_back += 1
-                    affected.add(object_id)
-        return CrashDamageReport(
-            crashed=len(crashed),
-            dangling_long_links=dangling_links,
-            stale_close_neighbors=stale_close,
-            affected_objects=len(affected),
-            dangling_back_links=dangling_back,
-        )
+            rows.append((object_id, (), node.close_neighbors,
+                         [link.neighbor for link in node.long_links],
+                         [back_link.source for back_link in node.back_links]))
+        return crash_damage(rows, self._crashed)
 
     def repair(self) -> int:
         """Scrub dangling references (a minimal anti-entropy pass).
@@ -312,6 +355,21 @@ class PartitionDamageReport:
                 + self.cross_long_links + self.cross_back_links)
 
 
+def across_split(side_of: Callable[[int], Optional[int]],
+                 ) -> Callable[[int, int], bool]:
+    """The ``gone`` rule of a split: holder and peer sit on different sides.
+
+    Unassigned ids (``side_of`` gives ``None``) are never across, matching
+    ``SplitSpec.separates``.
+    """
+    def gone(holder: int, peer: int) -> bool:
+        own_side = side_of(holder)
+        peer_side = side_of(peer)
+        return (own_side is not None and peer_side is not None
+                and peer_side != own_side)
+    return gone
+
+
 def assess_partition_damage(nodes: Dict[int, object],
                             side_of: Callable[[int], Optional[int]],
                             ) -> PartitionDamageReport:
@@ -326,33 +384,10 @@ def assess_partition_damage(nodes: Dict[int, object],
     opens and to assert the per-side repairs scrubbed every cross
     reference before heal.
     """
-    sides = set()
-    cross_voronoi = cross_close = cross_long = cross_back = 0
-    boundary = 0
-    for object_id in sorted(nodes):
-        node = nodes[object_id]
-        own_side = side_of(object_id)
-        if own_side is not None:
-            sides.add(own_side)
-        if own_side is None:
-            continue
-
-        def crosses(peer: int) -> bool:
-            peer_side = side_of(peer)
-            return peer_side is not None and peer_side != own_side  # noqa: B023
-
-        voronoi = sum(1 for peer in node.voronoi
-                      if peer != object_id and crosses(peer))
-        close = sum(1 for peer in node.close if crosses(peer))
-        longs = sum(1 for link in node.long_links
-                    if link.neighbor != object_id and crosses(link.neighbor))
-        backs = sum(1 for source, _index in node.back_links if crosses(source))
-        cross_voronoi += voronoi
-        cross_close += close
-        cross_long += longs
-        cross_back += backs
-        if voronoi or close or longs or backs:
-            boundary += 1
+    sides = {side_of(object_id) for object_id in nodes} - {None}
+    cross_voronoi, cross_close, cross_long, cross_back, boundary = (
+        census_gone_references(protocol_references(nodes),
+                               across_split(side_of)))
     return PartitionDamageReport(sides=len(sides),
                                  cross_voronoi_entries=cross_voronoi,
                                  cross_close_entries=cross_close,

@@ -15,10 +15,12 @@ Four pieces compose the subsystem:
 * :class:`FaultPlane` — the injection point, consulted by
   :meth:`Network.send <repro.simulation.network.Network.send>` for every
   non-local message.  It drops traffic to/from crashed nodes, cuts
-  messages crossing an active partition (a set of ids isolated for a
-  window of the virtual clock), and loses or delays messages
-  probabilistically from a dedicated seeded random source, so delivery
-  decisions are reproducible end to end.
+  messages crossing an active split (:class:`SplitSpec`: named sides of
+  ids severed from each other for a window of the virtual clock — a
+  group isolated from the rest is the two-sided case, the rest being
+  the other side), and loses or delays messages probabilistically from
+  a dedicated seeded random source, so delivery decisions are
+  reproducible end to end.
 * :class:`ProtocolCrashInjector` — crashes live protocol nodes abruptly.
   Exactly mirroring the oracle injector, the *substrate* is repaired (the
   shared kernel, the locate grid and the network handler table forget the
@@ -36,8 +38,8 @@ Four pieces compose the subsystem:
   probed, crossed probes suppress the redundant ``PONG``) and probes
   long-link/back-link edges on a deterministic sampling stride instead of
   every round — an order-of-magnitude cheaper steady state for a bounded
-  increase in detection latency; the full-probe default stays
-  byte-identical to the original detector for parity tests.
+  increase in detection latency.  The default probes every reference
+  every round.
 * :class:`RepairProtocol` — the crash-mode extension of the Section 3.3
   departure protocol.  Where a graceful leaver *pushes* its state out, the
   repair protocol lets the survivors *pull* the overlay back together in
@@ -64,10 +66,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import VoroNetConfig
-from repro.simulation.failures import ChurnScheduler, CrashDamageReport
+from repro.simulation.failures import (ChurnScheduler, CrashDamageReport,
+                                       among_crashed, crash_damage,
+                                       protocol_references)
 from repro.simulation.network import Message
 from repro.simulation.protocol import ProtocolSimulator
 from repro.simulation.trace import TraceRecorder
@@ -78,7 +82,6 @@ from repro.workloads.generators import generate_objects
 __all__ = [
     "FaultDecision",
     "FaultPlane",
-    "PartitionSpec",
     "SplitSpec",
     "ProtocolCrashInjector",
     "HeartbeatConfig",
@@ -105,36 +108,15 @@ class FaultDecision:
 _DELIVER = FaultDecision(deliver=True)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """One partition: ``members`` are cut off from everyone else in a window.
-
-    The window is half-open on the virtual clock: messages sent at
-    ``start <= now < end`` with exactly one endpoint inside ``members``
-    are dropped.  Traffic *within* the isolated group (and within its
-    complement) flows normally.
-    """
-
-    members: frozenset
-    start: float
-    end: float
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-    def separates(self, sender: int, recipient: int) -> bool:
-        return (sender in self.members) != (recipient in self.members)
-
-
 class SplitSpec:  # simlint: ignore[SIM003] — one per partition event, not per message
     """A k-way network split with explicit side membership.
 
-    Unlike :class:`PartitionSpec` (one group cut off from *everyone*),
-    a split names every side: traffic within a side flows, traffic
-    between any two different sides is cut while the window is active.
-    Nodes joining mid-split are assigned a side with :meth:`assign`, so
-    side membership tracks the population the merge protocol must
-    reconcile.
+    Every side is named: traffic within a side flows, traffic between
+    any two different sides is cut while the window is active.  A group
+    cut off from everyone else is the two-sided case ``[group, rest]``.
+    Ids on no side (nodes joining mid-split) are never cut until placed
+    with :meth:`assign`, so side membership tracks exactly the population
+    the merge protocol must reconcile.
 
     ``in_flight`` pins the semantics for messages already travelling when
     a window opens (see ``TESTING.md`` "Partitions & merge"):
@@ -214,7 +196,7 @@ class FaultPlane:
     by setting :attr:`Network.faults <repro.simulation.network.Network.faults>`
     directly).  Every non-local send is then submitted to :meth:`decide`.
 
-    Decision order is fixed — crashed sender, crashed recipient, partition
+    Decision order is fixed — crashed sender, crashed recipient, split
     cut, probabilistic loss, probabilistic delay — and random draws come
     from a dedicated :class:`~repro.utils.rng.RandomSource`, so for a given
     seed and message sequence the decisions are deterministic (the
@@ -226,13 +208,13 @@ class FaultPlane:
         Seed of the loss/delay random source.
     loss_probability:
         Per-message probability of silent loss (applied after crash and
-        partition checks).
+        split checks).
     delay_probability / delay_range:
         Probability that a delivered message is stretched by an extra
         latency drawn uniformly from ``delay_range``.
     """
 
-    __slots__ = ("_rng", "seed", "_crashed", "_partitions", "_splits",
+    __slots__ = ("_rng", "seed", "_crashed", "_splits",
                  "_heal_hooks", "in_flight_cuts",
                  "loss_probability", "delay_probability", "delay_range",
                  "decisions", "drops_by_reason")
@@ -247,7 +229,6 @@ class FaultPlane:
         #: experiment reports can state how to replay the fault schedule.
         self.seed = seed
         self._crashed: Set[int] = set()
-        self._partitions: List[PartitionSpec] = []
         self._splits: List[SplitSpec] = []
         self._heal_hooks: List = []
         #: Count of live specs with delivery-time (``in_flight="cut"``)
@@ -297,17 +278,6 @@ class FaultPlane:
         """Ids currently marked crashed."""
         return frozenset(self._crashed)
 
-    def partition(self, members: Sequence[int], start: float,
-                  end: float) -> PartitionSpec:
-        """Isolate ``members`` from the rest of the overlay on ``[start, end)``."""
-        if end < start:
-            raise ValueError(f"partition window ends before it starts: "
-                             f"[{start}, {end})")
-        spec = PartitionSpec(members=frozenset(members), start=float(start),
-                             end=float(end))
-        self._partitions.append(spec)
-        return spec
-
     def split(self, sides: Sequence[Sequence[int]], start: float,
               end: float = math.inf, *,
               in_flight: str = "deliver") -> SplitSpec:
@@ -337,7 +307,7 @@ class FaultPlane:
         return None if spec is None else spec.side_of(object_id)
 
     def on_heal(self, hook) -> None:
-        """Register ``hook(spec)`` to fire when a split/partition heals.
+        """Register ``hook(spec)`` to fire when a split heals.
 
         Hooks fire once per healed spec, in registration order, from
         :meth:`heal_partitions` — the explicit heal path.  Windows that
@@ -348,24 +318,22 @@ class FaultPlane:
         self._heal_hooks.append(hook)
 
     def heal_partitions(self) -> int:
-        """Drop every partition/split spec; returns how many were open.
+        """Drop every split spec; returns how many were open.
 
         Fires the :meth:`on_heal` hooks for each dropped spec so higher
         layers (the merge runtime) can start anti-entropy bookkeeping at
         the moment connectivity returns.
         """
-        count = len(self._partitions) + len(self._splits)
-        healed: List = list(self._partitions) + list(self._splits)
-        self._partitions.clear()
-        for spec in self._splits:
+        healed = self._splits
+        self._splits = []
+        for spec in healed:
             spec.healed = True
             if spec.in_flight == "cut":
                 self.in_flight_cuts -= 1
-        self._splits.clear()
         for spec in healed:
             for hook in self._heal_hooks:
                 hook(spec)
-        return count
+        return len(healed)
 
     # ------------------------------------------------------------------
     # the decision hook
@@ -377,16 +345,9 @@ class FaultPlane:
             return self._drop("crashed_sender")
         if message.recipient in self._crashed:
             return self._drop("crashed_recipient")
-        if self._partitions:
+        if self._splits:
             # Prune expired windows first: decide() sits on the per-message
             # hot path, and the virtual clock never goes backwards.
-            self._partitions = [spec for spec in self._partitions
-                                if spec.end > now]
-            for spec in self._partitions:
-                if spec.active(now) and spec.separates(message.sender,
-                                                       message.recipient):
-                    return self._drop("partition")
-        if self._splits:
             expired = [spec for spec in self._splits if spec.end <= now]
             if expired:
                 for spec in expired:
@@ -506,38 +467,8 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
 
     def assess_damage(self) -> CrashDamageReport:
         """Count stale references the crashes left in surviving views."""
-        simulator = self._simulator
-        crashed = set(self._crashed)
-        dangling_links = 0
-        stale_close = 0
-        dangling_back = 0
-        stale_voronoi = 0
-        affected = set()
-        for object_id, node in simulator.nodes.items():
-            for link in node.long_links:
-                if link.neighbor in crashed:
-                    dangling_links += 1
-                    affected.add(object_id)
-            for close_id in node.close:
-                if close_id in crashed:
-                    stale_close += 1
-                    affected.add(object_id)
-            for source, _index in node.back_links:
-                if source in crashed:
-                    dangling_back += 1
-                    affected.add(object_id)
-            for neighbor_id in node.voronoi:
-                if neighbor_id in crashed:
-                    stale_voronoi += 1
-                    affected.add(object_id)
-        return CrashDamageReport(
-            crashed=len(crashed),
-            dangling_long_links=dangling_links,
-            stale_close_neighbors=stale_close,
-            affected_objects=len(affected),
-            dangling_back_links=dangling_back,
-            stale_voronoi_entries=stale_voronoi,
-        )
+        return crash_damage(protocol_references(self._simulator.nodes),
+                            self._crashed)
 
 
 # ----------------------------------------------------------------------
@@ -547,9 +478,9 @@ class ProtocolCrashInjector:  # simlint: ignore[SIM003] — one per experiment, 
 class HeartbeatConfig:
     """Parameters of the liveness subsystem.
 
-    The defaults reproduce the original full-probe detector exactly (the
-    parity suite pins this); the two switches below implement the
-    steady-state cost rework:
+    The defaults probe every reference every round; ``piggyback`` plus
+    ``sample_fraction`` is the cheaper steady-state policy
+    (``BENCH_protocol_churn`` records its message reduction):
 
     Attributes
     ----------
@@ -579,32 +510,12 @@ class HeartbeatConfig:
         long link grows by one period.  A peer with a missed heartbeat or
         on the suspect list is always probed, so suspicion in progress
         resolves at full speed.
-    adaptive_backoff:
-        SWIM-style per-edge backoff on the long-link/back-link tail (the
-        structural core — Voronoi and close neighbours — is still probed
-        every round): each answered probe of a stable edge doubles that
-        edge's stride, up to ``max_stride`` rounds between probes; the
-        first missed probe snaps the stride back to 1, so a suspicion in
-        progress accumulates misses at full speed and detection/repair
-        convergence is unchanged (the parity suite pins this).  On an
-        idle overlay every tail edge settles at ``max_stride`` after
-        ``log2(max_stride)`` answered probes, bringing steady-state probe
-        cost per node per round down to O(Voronoi degree) +
-        tail-degree / ``max_stride``.  The price is worst-case detection
-        latency on a long-stable edge growing by ``max_stride - 1``
-        rounds.  When set it replaces ``sample_fraction`` striding on the
-        tail edges; it composes freely with ``piggyback`` (an edge fresh
-        from piggybacked traffic is still not probed at all).
-    max_stride:
-        Stride ceiling (in rounds) of ``adaptive_backoff``.
     """
 
     interval: float = 8.0
     miss_threshold: int = 2
     piggyback: bool = False
     sample_fraction: float = 1.0
-    adaptive_backoff: bool = False
-    max_stride: int = 8
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -615,9 +526,6 @@ class HeartbeatConfig:
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError(
                 f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if self.max_stride < 1:
-            raise ValueError(
-                f"max_stride must be >= 1, got {self.max_stride}")
 
     @property
     def sample_period(self) -> int:
@@ -651,18 +559,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
     _PHASE_A = 2654435761
     _PHASE_B = 40503
 
-    def __init__(self, simulator: ProtocolSimulator, *,
-                 interval: Optional[float] = None,
-                 miss_threshold: Optional[int] = None,
+    def __init__(self, simulator: ProtocolSimulator,
                  config: Optional[HeartbeatConfig] = None) -> None:
         if config is None:
-            config = HeartbeatConfig(
-                interval=interval if interval is not None else 8.0,
-                miss_threshold=(miss_threshold if miss_threshold is not None
-                                else 2))
-        elif interval is not None or miss_threshold is not None:
-            raise ValueError(
-                "pass either a HeartbeatConfig or keyword shortcuts, not both")
+            config = HeartbeatConfig()
         self.simulator = simulator
         self.config = config
         self.interval = config.interval
@@ -680,12 +580,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         #: advance the clock, so a time-based window would freeze and a
         #: crash on a quiet overlay would never be probed again.
         self._fresh_round: Dict[Tuple[int, int], int] = {}
-        #: Adaptive-backoff bookkeeping (``config.adaptive_backoff``):
-        #: current probe stride per (prober, peer) tail edge, and the
-        #: round each edge was last probed.  Both age in rounds for the
-        #: same frozen-clock reason as ``_fresh_round``.
-        self._edge_stride: Dict[Tuple[int, int], int] = {}
-        self._edge_last_probe: Dict[Tuple[int, int], int] = {}
         self._era: Optional[int] = None
         if config.piggyback:
             # Stays on for the simulator's lifetime (the measurement
@@ -710,22 +604,9 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         del self._round_starts[:-2]
         self._outstanding = {}
         pings = 0
-        if (not config.piggyback and config.sample_fraction >= 1.0
-                and not config.adaptive_backoff):
-            # Full-probe mode: byte-identical to the original detector.
-            for object_id, node in list(simulator.nodes.items()):
-                peers = node.monitored_peers()
-                if not peers:
-                    continue
-                self._outstanding[object_id] = peers
-                for peer in sorted(peers):
-                    simulator.send(node, peer, "PING", {"round": self._round})
-                    pings += 1
-            return pings
         piggyback = config.piggyback
         period = config.sample_period
         threshold = config.miss_threshold
-        adaptive = config.adaptive_backoff
         current_round = self._round
         # Contact strictly after the previous round began re-marks an edge
         # fresh (strict: with a frozen clock the previous round's start
@@ -737,7 +618,7 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
             peers = node.monitored_peers()
             if not peers:
                 continue
-            if period > 1 or adaptive:
+            if period > 1:
                 core = set(node.voronoi)
                 core.update(node.close)
             missed = node.missed_heartbeats
@@ -758,19 +639,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                         if (fresh is not None
                                 and current_round - fresh < threshold):
                             continue  # within the freshness window
-                    if adaptive:
-                        if peer not in core:
-                            edge = (object_id, peer)
-                            last = self._edge_last_probe.get(edge)
-                            if (last is not None and current_round - last
-                                    < self._edge_stride.get(edge, 1)):
-                                continue  # stable tail edge, backed off
-                    elif (period > 1 and peer not in core
+                    if (period > 1 and peer not in core
                             and not self._edge_due(object_id, peer, period)):
                         continue  # sampled long/back edge, off-stride round
                 probed.add(peer)
-                if adaptive:
-                    self._edge_last_probe[(object_id, peer)] = current_round
                 if piggyback:
                     node.last_ping_round[peer] = (self._era, current_round)
                     simulator.send(node, peer, "PING",
@@ -786,9 +658,6 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         """Settle the previous round; returns newly created (prober, suspect)."""
         simulator = self.simulator
         piggyback = self.config.piggyback
-        adaptive = self.config.adaptive_backoff
-        max_stride = self.config.max_stride
-        strides = self._edge_stride
         round_started = self._round_starts[-1] if self._round_starts else -math.inf
         new_suspects: List[Tuple[int, int]] = []
         for object_id, peers in self._outstanding.items():
@@ -797,18 +666,10 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
                 continue
             for peer in sorted(peers):
                 if node.last_heard.get(peer) == self._round:
-                    if adaptive:  # answered: the edge is stable, back off
-                        edge = (object_id, peer)
-                        strides[edge] = min(strides.get(edge, 1) * 2, max_stride)
                     continue
                 if (piggyback
                         and node.last_contact.get(peer, -math.inf) >= round_started):
-                    if adaptive:
-                        edge = (object_id, peer)
-                        strides[edge] = min(strides.get(edge, 1) * 2, max_stride)
                     continue  # any message during the round is an answer
-                if adaptive:  # missed: probe at full speed until resolved
-                    strides[(object_id, peer)] = 1
                 misses = node.missed_heartbeats.get(peer, 0) + 1
                 node.missed_heartbeats[peer] = misses
                 if misses >= self.miss_threshold and peer not in node.suspects:
@@ -837,6 +698,33 @@ class HeartbeatDetector:  # simlint: ignore[SIM003] — one per experiment, not 
         for _ in range(count):
             created.extend(self.run_round())
         return created
+
+    def all_suspected(self, gone: Callable[[int, int], bool]) -> bool:
+        """Does every live node suspect each monitored peer it holds that is gone?
+
+        ``gone(holder, peer)`` names the peers detection must find: crashed
+        ids, or ids across a split from ``holder``.
+        """
+        for object_id, node in self.simulator.nodes.items():
+            suspects = node.suspects
+            for peer in node.monitored_peers():
+                if peer not in suspects and gone(object_id, peer):
+                    return False
+        return True
+
+    def detect(self, max_rounds: int, gone: Callable[[int, int], bool]) -> int:
+        """Run rounds until every gone reference is suspected; returns the count.
+
+        At least ``miss_threshold`` rounds run (no suspicion can form
+        sooner) and at most ``max_rounds``.
+        """
+        rounds = 0
+        while rounds < max_rounds:
+            self.run_round()
+            rounds += 1
+            if rounds >= self.miss_threshold and self.all_suspected(gone):
+                break
+        return rounds
 
     # ------------------------------------------------------------------
     def start(self, duration: float) -> int:
@@ -1305,6 +1193,8 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
     """
 
     _CHURN_WINDOW_EVENTS = 24
+    #: Long/back-link probe fraction of the piggy-backed liveness phase.
+    _LIVENESS_SAMPLE_FRACTION = 0.25
 
     def __init__(self, *, num_objects: int = 1000, seed: int = 7,
                  num_long_links: int = 1,
@@ -1312,15 +1202,12 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
                  join_rate: float = 2.0, leave_rate: float = 1.0,
                  crash_fraction: float = 0.1,
                  loss_probability: float = 0.0,
-                 heartbeat_interval: float = 8.0,
-                 miss_threshold: int = 2,
                  heartbeat: Optional[HeartbeatConfig] = None,
                  max_detection_rounds: int = 8,
                  max_repair_rounds: int = 8,
                  measure_liveness: bool = False,
                  liveness_rounds: int = 4,
                  liveness_queries: int = 25,
-                 liveness_sample_fraction: float = 0.25,
                  distribution: Optional[ObjectDistribution] = None,
                  trace: Optional["TraceRecorder"] = None) -> None:
         if not 0.0 <= crash_fraction < 1.0:
@@ -1337,7 +1224,6 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
         self.measure_liveness = measure_liveness
         self.liveness_rounds = liveness_rounds
         self.liveness_queries = liveness_queries
-        self.liveness_sample_fraction = liveness_sample_fraction
         self.distribution = distribution or UniformDistribution()
         capacity = 4 * (num_objects + churn_events + 8)
         self.config = VoroNetConfig(n_max=capacity,
@@ -1347,8 +1233,7 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
                                            faults=self.faults, trace=trace)
         self.rng = RandomSource(seed + 2)
         if heartbeat is None:
-            heartbeat = HeartbeatConfig(interval=heartbeat_interval,
-                                        miss_threshold=miss_threshold)
+            heartbeat = HeartbeatConfig()
         self.heartbeat_config = heartbeat
         self.detector = HeartbeatDetector(self.simulator, config=heartbeat)
         self.repairer = RepairProtocol(self.simulator, detector=self.detector,
@@ -1485,7 +1370,7 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
         self._reset_liveness_bookkeeping()
         piggyback = run_phase(replace(
             base, piggyback=True,
-            sample_fraction=self.liveness_sample_fraction))
+            sample_fraction=self._LIVENESS_SAMPLE_FRACTION))
         self._reset_liveness_bookkeeping()
         # The measurement must not change how the experiment's own
         # detection phase behaves: restore the configured switch.
@@ -1493,7 +1378,7 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
         return {
             "rounds": float(rounds),
             "queries_per_round": float(per_round),
-            "sample_fraction": self.liveness_sample_fraction,
+            "sample_fraction": self._LIVENESS_SAMPLE_FRACTION,
             "full_probe_messages": float(full_probe),
             "piggyback_messages": float(piggyback),
             # max(1, ·): a zero-message piggyback phase (degenerate tiny
@@ -1503,12 +1388,7 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
 
     def _all_damage_suspected(self) -> bool:
         """Does every surviving stale reference sit on a suspect list?"""
-        dead = set(self.injector.crashed)
-        for node in self.simulator.nodes.values():
-            for peer in node.monitored_peers():
-                if peer in dead and peer not in node.suspects:
-                    return False
-        return True
+        return self.detector.all_suspected(among_crashed(self.injector.crashed))
 
     # ------------------------------------------------------------------
     def run(self) -> ProtocolChurnReport:
@@ -1544,13 +1424,8 @@ class ProtocolChurnHarness:  # simlint: ignore[SIM003] — one per experiment, n
         # ---- detection --------------------------------------------------
         self.faults.set_loss(self.loss_probability)
         before = network.messages_sent
-        detection_rounds = 0
-        while detection_rounds < self.max_detection_rounds:
-            self.detector.run_round()
-            detection_rounds += 1
-            if (detection_rounds >= self.detector.miss_threshold
-                    and self._all_damage_suspected()):
-                break
+        detection_rounds = self.detector.detect(
+            self.max_detection_rounds, among_crashed(self.injector.crashed))
         phase_messages["detect"] = network.messages_sent - before
 
         # ---- repair -----------------------------------------------------

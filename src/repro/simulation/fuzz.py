@@ -2,30 +2,30 @@
 
 The engine's virtual clock and the seeded :class:`~repro.simulation.faults.
 FaultPlane` make every protocol run perfectly replayable; this module
-turns that determinism into a correctness harness.  A
-:class:`CrashSchedule` names the classic experiment — *with this seed,
-crash a victim at exactly this global message index* — and a
-:class:`FuzzTrace` generalises it to an ordered sequence of
-:class:`CrashEvent`\\ s (multi-crash, victim by rank *or* "whoever sent
-the armed message", i.e. the coordinator of the operation in flight) and
-:class:`PartitionEvent`\\ s (a partition window opened at an exact
-message index).  :class:`CrashScheduleFuzzer` runs either end to end:
-build an overlay through ``bulk_join``, churn it with sequential joins
-and leaves, fire the faults wherever their indices land (mid-carve,
-mid-close-discovery, mid-search, mid-hand-over — the triggers sit inside
-``Network.send`` itself), then heal any still-open windows and drive
-bounded detect→repair cycles asserting convergence to a clean
-``verify_views()`` with no leaked operation watchdogs.
+turns that determinism into a correctness harness.  A :class:`FuzzTrace`
+is one seed plus an ordered sequence of :class:`CrashEvent`\\ s
+(multi-crash, victim by rank *or* "whoever sent the armed message", i.e.
+the coordinator of the operation in flight) and :class:`PartitionEvent`\\ s
+(a two-sided split opened at an exact message index); the classic
+experiment — *with this seed, crash a victim at exactly this global
+message index* — is the one-event trace.  :class:`CrashScheduleFuzzer`
+runs a trace end to end: build an overlay through ``bulk_join``, churn
+it with sequential joins and leaves, fire the faults wherever their
+indices land (mid-carve, mid-close-discovery, mid-search, mid-hand-over
+— the triggers sit inside ``Network.send`` itself), then heal any
+still-open windows and drive bounded detect→repair cycles asserting
+convergence to a clean ``verify_views()`` with no leaked operation
+watchdogs.
 
 Every failure reproduces from its serialized trace alone
 (:meth:`FuzzTrace.as_dict` / :meth:`FuzzTrace.from_dict` — the CI
 artifact shape): victims are resolved *at fire time* from the sorted
-live ids (by rank) or the armed message's sender (coordinator), and
-partition members are the first ``ceil(fraction · n)`` of the sorted
-live ids, so no population knowledge is needed in advance.
-:attr:`FuzzOutcome.fingerprint` digests the final overlay state so
-replays can be checked byte-identical.  Single-crash traces keep the
-legacy ``(seed, message_index, victim_rank)`` triple as a short form.
+live ids (by rank) or the armed message's sender (coordinator), and a
+partition cuts the first ``ceil(fraction · n)`` of the sorted live ids
+from the other live ids, so no population knowledge is needed in
+advance.  :attr:`FuzzOutcome.fingerprint` digests the final overlay
+state so replays can be checked byte-identical.  On the command line a
+single-crash trace may be written as the ``SEED:INDEX:RANK`` triple.
 
 Two drivers share the harness:
 
@@ -35,7 +35,8 @@ Two drivers share the harness:
   --schedules K [--partition-fraction F] [--crashes C]`` — which derives
   ``K`` traces from one master seed, re-runs any failure to confirm it,
   and emits the failing traces (CI's ``fuzz-smoke`` job uploads them as
-  an artifact; replay with ``--replay-trace artifact.json``).
+  an artifact; replay with ``--replay-trace artifact.json``, or a
+  single crash with ``--replay SEED:INDEX:RANK``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import VoroNetConfig
+from repro.simulation.failures import among_crashed
 from repro.simulation.faults import (
     FaultPlane,
     HeartbeatDetector,
@@ -61,7 +63,6 @@ from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
 
 __all__ = [
-    "CrashSchedule",
     "CrashEvent",
     "PartitionEvent",
     "FuzzTrace",
@@ -73,42 +74,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CrashSchedule:
-    """One crash experiment: seed, global message index, victim rank.
-
-    ``message_index`` is 1-based over every message the run sends (the
-    :meth:`Network.at_message <repro.simulation.network.Network.at_message>`
-    contract); ``None`` runs the schedule fault-free — the baseline that
-    sizes the index range for sweeps.  ``victim_rank`` selects the victim
-    as ``sorted(live ids)[rank % population]`` at the moment the trigger
-    fires, so the whole experiment replays from these three values.
-    """
-
-    seed: int
-    message_index: Optional[int]
-    victim_rank: int = 0
-
-    def __post_init__(self) -> None:
-        if self.message_index is not None and self.message_index < 1:
-            raise ValueError(
-                f"message_index must be >= 1, got {self.message_index}")
-        if self.victim_rank < 0:
-            raise ValueError(
-                f"victim_rank must be >= 0, got {self.victim_rank}")
-
-    def as_triple(self) -> Tuple[int, Optional[int], int]:
-        """The replay triple ``(seed, message_index, victim_rank)``."""
-        return (self.seed, self.message_index, self.victim_rank)
-
-
-@dataclass(frozen=True)
 class CrashEvent:
     """Crash one victim when the ``at_message``-th global send occurs.
 
     ``victim`` selects the resolution rule at fire time:
 
-    * ``"rank"`` — ``sorted(live ids)[victim_rank % population]``, the
-      legacy schedule semantics;
+    * ``"rank"`` — ``sorted(live ids)[victim_rank % population]``;
     * ``"coordinator"`` — the *sender of the armed message itself*: the
       node driving whatever multi-message operation that send belongs
       to.  Crashing the coordinator mid-conversation is the adversarial
@@ -142,14 +113,15 @@ class PartitionEvent:
     """Open a partition window when the ``at_message``-th send occurs.
 
     At fire time the first ``ceil(fraction · n)`` of the sorted live ids
-    (at least one node is always left on each side) are isolated from
-    the rest for ``duration`` of virtual time from the current clock —
-    the legacy clock-windowed :class:`~repro.simulation.faults.
-    PartitionSpec`, so messages crossing the cut feed the fault plane
-    and in-flight semantics follow the pinned send-time rule.  The
-    harness heals any window still open when the heal phase starts; the
-    repair machinery must then converge the overlay exactly as it does
-    after crashes.
+    (at least one node is always left on each side) are split from the
+    other live ids for ``duration`` of virtual time from the current
+    clock — a two-sided :class:`~repro.simulation.faults.SplitSpec`, so
+    messages crossing the cut feed the fault plane and in-flight
+    semantics follow the pinned send-time rule.  A node that joins while
+    the window is open sits on neither side and is not cut.  The harness
+    heals any window still open when the heal phase starts; the repair
+    machinery must then converge the overlay exactly as it does after
+    crashes.
     """
 
     at_message: int
@@ -184,8 +156,7 @@ class FuzzTrace:
     failure artifact: everything the run did — which victims died, which
     nodes were cut, in which protocol phase — derives from it, because
     every resolution rule is a pure function of (seed, event list, fire
-    time).  A single rank-victim :class:`CrashEvent` round-trips to the
-    legacy ``(seed, message_index, victim_rank)`` triple.
+    time).
     """
 
     seed: int
@@ -216,29 +187,19 @@ class FuzzTrace:
                 raise ValueError(f"unknown trace event kind: {kind!r}")
         return FuzzTrace(seed=int(data["seed"]), events=tuple(events))
 
-    def as_schedule(self) -> CrashSchedule:
-        """The legacy-triple view: first crash event, or fault-free."""
-        for event in self.events:
-            if isinstance(event, CrashEvent):
-                return CrashSchedule(seed=self.seed,
-                                     message_index=event.at_message,
-                                     victim_rank=event.victim_rank)
-        return CrashSchedule(seed=self.seed, message_index=None)
-
 
 @dataclass(frozen=True)
 class FuzzOutcome:
     """Everything one trace run produced (all derivable from the trace).
 
-    ``schedule``/``victim``/``crash_phase`` keep the legacy single-crash
-    view (first crash event); ``trace``/``victims``/``phase_marks`` carry
-    the full story for multi-fault runs.  ``phase_marks`` records the
+    ``victim``/``crash_phase`` describe the first crash that fired;
+    ``victims`` lists every crash.  ``phase_marks`` records the
     global message count at which each protocol phase began — the sweep
     uses the fault-free run's marks to aim partition windows at the
     churn phase.
     """
 
-    schedule: CrashSchedule
+    trace: FuzzTrace
     converged: bool
     victim: Optional[int]
     crash_phase: Optional[str]
@@ -252,7 +213,6 @@ class FuzzOutcome:
     operation_retries: int
     fingerprint: str
     error: Optional[str] = None
-    trace: Optional[FuzzTrace] = None
     victims: Tuple[int, ...] = ()
     partitions_opened: int = 0
     partitions_healed: int = 0
@@ -266,10 +226,8 @@ class FuzzOutcome:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary — the shape the CI artifact stores."""
         return {
-            "seed": self.schedule.seed,
-            "message_index": self.schedule.message_index,
-            "victim_rank": self.schedule.victim_rank,
-            "trace": self.trace.as_dict() if self.trace is not None else None,
+            "seed": self.trace.seed,
+            "trace": self.trace.as_dict(),
             "victim": self.victim,
             "victims": list(self.victims),
             "crash_phase": self.crash_phase,
@@ -310,7 +268,7 @@ class FuzzSweepReport:
 
 
 class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not per message
-    """Runs crash schedules against fresh, fully seeded simulators.
+    """Runs fault traces against fresh, fully seeded simulators.
 
     Parameters size the experiment each schedule runs: ``num_objects``
     bulk-joined to build, ``churn_events`` sequential joins/leaves (two
@@ -318,8 +276,8 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
     ``max_heal_cycles`` detect→repair cycles, each bounded by
     ``max_detection_rounds`` heartbeat rounds and the repairer's
     ``max_repair_rounds``.  ``min_population`` stops the trigger from
-    amputating an overlay too small to repair (the schedule records the
-    skip; the run still must converge fault-free).
+    amputating an overlay too small to repair (the run skips the crash
+    and must still converge fault-free).
     """
 
     def __init__(self, *, num_objects: int = 20, churn_events: int = 8,
@@ -347,8 +305,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
     # ------------------------------------------------------------------
     def baseline_messages(self, seed: int) -> int:
         """Total messages of the fault-free run — the index range for sweeps."""
-        return self.run_schedule(
-            CrashSchedule(seed=seed, message_index=None)).messages
+        return self.run_trace(FuzzTrace(seed=seed)).messages
 
     @staticmethod
     def _fingerprint(simulator: ProtocolSimulator) -> str:
@@ -365,20 +322,9 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 f":{links}:{node.view_version}".encode())
         return digest.hexdigest()
 
-    def run_schedule(self, schedule: CrashSchedule) -> FuzzOutcome:
-        """Run one legacy single-crash schedule; delegates to :meth:`run_trace`."""
-        events: Tuple[FuzzEvent, ...] = ()
-        if schedule.message_index is not None:
-            events = (CrashEvent(at_message=schedule.message_index,
-                                 victim_rank=schedule.victim_rank),)
-        return self.run_trace(FuzzTrace(seed=schedule.seed, events=events),
-                              _schedule=schedule)
-
-    def run_trace(self, trace: FuzzTrace, *,
-                  _schedule: Optional[CrashSchedule] = None) -> FuzzOutcome:
+    def run_trace(self, trace: FuzzTrace) -> FuzzOutcome:
         """Run one trace end to end; never raises — errors are reported."""
         seed = trace.seed
-        schedule = _schedule if _schedule is not None else trace.as_schedule()
         capacity = 4 * (self.num_objects + self.churn_events + 8)
         config = VoroNetConfig(n_max=capacity,
                                num_long_links=self.num_long_links, seed=seed)
@@ -428,10 +374,11 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 live = sorted(simulator.nodes)
                 if len(live) < 2:
                     return  # nothing to cut
-                count = max(1, math.ceil(len(live) * event.fraction))
-                members = live[:min(count, len(live) - 1)]
+                count = min(max(1, math.ceil(len(live) * event.fraction)),
+                            len(live) - 1)
                 now = simulator.engine.now
-                faults.partition(members, now, now + event.duration)
+                faults.split([live[:count], live[count:]], now,
+                             now + event.duration)
                 partitions_opened[0] += 1
             return trigger
 
@@ -467,16 +414,9 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
             detector = HeartbeatDetector(simulator)
             repairer = RepairProtocol(simulator, detector=detector,
                                       max_rounds=self.max_repair_rounds)
-            dead = set(injector.crashed)
-
-            def all_damage_suspected() -> bool:
-                for object_id in sorted(simulator.nodes):
-                    node = simulator.nodes[object_id]
-                    for peer in sorted(node.monitored_peers()):
-                        if peer in dead and peer not in node.suspects:
-                            return False
-                return True
-
+            # Crashes that fire during the heal phase itself are left to
+            # the repair audit: heartbeats only wait for the earlier ones.
+            gone = among_crashed(injector.crashed)
             for _ in range(self.max_heal_cycles):
                 heal_cycles += 1
                 # Windows still open are closed at each cycle boundary:
@@ -485,13 +425,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 # phase's own messages) must not leave the cut standing
                 # for the remaining cycles to diverge against.
                 partitions_healed += faults.heal_partitions()
-                rounds = 0
-                while rounds < self.max_detection_rounds:
-                    detector.run_round()
-                    rounds += 1
-                    if (rounds >= detector.miss_threshold
-                            and all_damage_suspected()):
-                        break
+                detector.detect(self.max_detection_rounds, gone)
                 repair = repairer.repair()
                 verify_problems = len(simulator.verify_views())
                 residual_stale = injector.assess_damage().total_stale_entries
@@ -505,7 +439,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
             error = f"{type(exc).__name__}: {exc}"
 
         return FuzzOutcome(
-            schedule=schedule,
+            trace=trace,
             converged=converged,
             victim=crash_info["victim"],
             crash_phase=crash_info["phase"],
@@ -521,7 +455,6 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
                 simulator.metrics.counter("operation_retries")),
             fingerprint=self._fingerprint(simulator),
             error=error,
-            trace=trace,
             victims=tuple(victims),
             partitions_opened=partitions_opened[0],
             partitions_healed=partitions_healed,
@@ -547,8 +480,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
         live protocol operations rather than the batched construction.
         Every draw comes from the master stream in a fixed order — the
         whole sweep replays from ``master_seed`` alone, and each failure
-        from its own serialized trace; with the default ``crashes=1`` and
-        no partitions the derived traces are exactly the legacy triples.
+        from its own serialized trace.
         """
         if schedules < 1:
             raise ValueError(f"schedules must be >= 1, got {schedules}")
@@ -561,8 +493,7 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
             sub_seed = master.integer(0, 2**31 - 1)
             rank = master.integer(0, 1 << 16)
             if sub_seed not in baselines:
-                baselines[sub_seed] = self.run_schedule(
-                    CrashSchedule(seed=sub_seed, message_index=None))
+                baselines[sub_seed] = self.run_trace(FuzzTrace(seed=sub_seed))
             baseline = baselines[sub_seed]
             total = max(1, baseline.messages)
             index = master.integer(1, total + 1)
@@ -609,23 +540,27 @@ class CrashScheduleFuzzer:  # simlint: ignore[SIM003] — one per campaign, not 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def _parse_replay(text: str) -> CrashSchedule:
-    """Parse a ``SEED:INDEX:RANK`` replay triple (INDEX may be ``none``)."""
+def _parse_replay(text: str) -> FuzzTrace:
+    """Parse a ``SEED:INDEX:RANK`` triple into a one-crash trace.
+
+    ``INDEX`` may be ``none``: the fault-free trace of the seed.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected SEED:INDEX:RANK, got {text!r}")
     seed, index_text, rank = parts
-    index = None if index_text.lower() == "none" else int(index_text)
-    return CrashSchedule(seed=int(seed), message_index=index,
-                         victim_rank=int(rank))
+    if index_text.lower() == "none":
+        return FuzzTrace(seed=int(seed))
+    return FuzzTrace(seed=int(seed), events=(
+        CrashEvent(at_message=int(index_text), victim_rank=int(rank)),))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro.simulation.fuzz``; returns exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.simulation.fuzz",
-        description="Seeded crash-at-any-message schedule sweeps.")
+        description="Seeded crash-at-any-message trace sweeps.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed of the sweep (default 0)")
     parser.add_argument("--schedules", type=int, default=50,
@@ -660,26 +595,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  churn_events=args.churn)
 
     def describe(outcome: FuzzOutcome) -> str:
-        trace = outcome.trace
-        shape = (f"{len(trace.events)} events" if trace is not None
-                 and len(trace.events) != 1 else "1 event")
+        count = len(outcome.trace.events)
+        shape = "1 event" if count == 1 else f"{count} events"
         victims = (f"victims={list(outcome.victims)}"
                    if len(outcome.victims) > 1
                    else f"victim={outcome.victim}")
-        return (f"seed={outcome.schedule.seed} {shape} {victims} "
+        return (f"seed={outcome.trace.seed} {shape} {victims} "
                 f"partitions={outcome.partitions_opened} "
                 f"phase={outcome.crash_phase} "
                 f"fingerprint={outcome.fingerprint[:16]}"
                 + (f" error={outcome.error}" if outcome.error else ""))
 
     if args.replay or args.replay_trace:
-        traces: List[FuzzTrace] = []
-        for schedule in args.replay:
-            events: Tuple[FuzzEvent, ...] = ()
-            if schedule.message_index is not None:
-                events = (CrashEvent(at_message=schedule.message_index,
-                                     victim_rank=schedule.victim_rank),)
-            traces.append(FuzzTrace(seed=schedule.seed, events=events))
+        traces: List[FuzzTrace] = list(args.replay)
         for path in args.replay_trace:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)

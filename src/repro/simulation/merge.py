@@ -28,35 +28,34 @@ and how the two (or k) diverged halves become one overlay again:
 
 :class:`ProtocolMergeHarness` wires the whole scenario — split, per-side
 stabilisation (a *scoped* repair against the side kernel), both-side
-inserts and queries (availability measured per side and phase), heal,
-merge, and a final parity check against a never-split oracle overlay
-built from the union — for the test-suite and
-``benchmarks/bench_partition_merge.py``.
+inserts and queries (availability measured per side and phase by
+:class:`AvailabilityTracker`), heal, merge, and a final parity check
+against a never-split oracle overlay built from the union — for the
+test-suite and ``benchmarks/bench_partition_merge.py``.
 """
 
 from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import VoroNetConfig
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
 from repro.geometry.locate_grid import LocateGrid
 from repro.geometry.point import Point
-from repro.serving.observability import AvailabilityTracker
-from repro.simulation.failures import (PartitionDamageReport,
+from repro.simulation.failures import (PartitionDamageReport, across_split,
                                        assess_partition_damage)
-from repro.simulation.faults import (FaultPlane, HeartbeatConfig,
-                                     HeartbeatDetector, RepairProtocol,
-                                     SplitSpec)
+from repro.simulation.faults import (FaultPlane, HeartbeatDetector,
+                                     RepairProtocol, SplitSpec)
 from repro.simulation.protocol import JoinReport, ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import ObjectDistribution, UniformDistribution
 from repro.workloads.generators import generate_objects
 
 __all__ = [
+    "AvailabilityTracker",
     "PartitionRuntime",
     "HealSummary",
     "MergeProtocol",
@@ -477,6 +476,82 @@ class MergeProtocol:  # simlint: ignore[SIM003] — one per heal, not per messag
             verify_problems=len(problems))
 
 
+class AvailabilityTracker:
+    """Split-era query availability, per side and phase, plus heal latency.
+
+    The partition-merge harness records every split-era query as
+    ``(side, phase, served)`` — ``phase`` is ``"degraded"`` (the cut is
+    open but views still reference the far side, so walks die crossing
+    it) or ``"stable"`` (each side has repaired against its own fork) —
+    and brackets every heal with :meth:`mark_heal` /
+    :meth:`mark_converged` so time-to-converge is measured on the same
+    virtual clock as the queries.  :meth:`summary` is JSON-safe (string
+    keys throughout) for the benchmark records.
+    """
+
+    __slots__ = ("_served", "_total", "_heals", "_pending_heal")
+
+    def __init__(self) -> None:
+        # (side, phase) -> counts; sides are small ints, phases strings.
+        self._served: Dict[tuple, int] = {}
+        self._total: Dict[tuple, int] = {}
+        self._heals: List[Dict[str, float]] = []
+        self._pending_heal: Optional[float] = None
+
+    def record(self, side: int, phase: str, served: bool) -> None:
+        """Count one split-era query outcome for ``side`` in ``phase``."""
+        key = (side, phase)
+        self._total[key] = self._total.get(key, 0) + 1
+        if served:
+            self._served[key] = self._served.get(key, 0) + 1
+
+    def mark_heal(self, time: float) -> None:
+        """The split healed at virtual ``time``; converge timing starts."""
+        self._pending_heal = float(time)
+
+    def mark_converged(self, time: float) -> None:
+        """Views verified clean at ``time``; closes the pending heal."""
+        if self._pending_heal is None:
+            raise ValueError("mark_converged without a pending mark_heal")
+        self._heals.append({
+            "healed_at": self._pending_heal,
+            "converged_at": float(time),
+            "time_to_converge": float(time) - self._pending_heal,
+        })
+        self._pending_heal = None
+
+    def success_rate(self, phase: Optional[str] = None) -> float:
+        """Served fraction across all sides (optionally one phase)."""
+        total = served = 0
+        for key, count in self._total.items():
+            if phase is not None and key[1] != phase:
+                continue
+            total += count
+            served += self._served.get(key, 0)
+        return served / total if total else 0.0
+
+    def summary(self) -> Dict:
+        """JSON-safe availability summary for benchmark records."""
+        sides: Dict[str, Dict[str, Dict[str, float]]] = {}
+        for key in sorted(self._total):
+            side, phase = key
+            total = self._total[key]
+            served = self._served.get(key, 0)
+            sides.setdefault(str(side), {})[phase] = {
+                "queries": float(total),
+                "served": float(served),
+                "success_rate": served / total if total else 0.0,
+            }
+        times = [heal["time_to_converge"] for heal in self._heals]
+        return {
+            "sides": sides,
+            "degraded_success_rate": self.success_rate("degraded"),
+            "stable_success_rate": self.success_rate("stable"),
+            "heals": list(self._heals),
+            "time_to_converge_max": max(times) if times else 0.0,
+        }
+
+
 @dataclass(frozen=True)
 class MergeHarnessReport:
     """One full split/serve/heal/merge experiment (possibly flapping)."""
@@ -525,8 +600,6 @@ class ProtocolMergeHarness:  # simlint: ignore[SIM003] — one per experiment, n
                  degraded_queries_per_side: int = 4,
                  num_long_links: int = 1,
                  loss_probability: float = 0.0,
-                 heartbeat_interval: float = 8.0,
-                 miss_threshold: int = 2,
                  max_detection_rounds: int = 8,
                  max_side_repair_rounds: int = 6,
                  max_merge_rounds: int = 4,
@@ -569,10 +642,7 @@ class ProtocolMergeHarness:  # simlint: ignore[SIM003] — one per experiment, n
         self.simulator = ProtocolSimulator(self.config, seed=seed,
                                            faults=self.faults)
         self.runtime = PartitionRuntime(self.simulator)
-        self.detector = HeartbeatDetector(
-            self.simulator,
-            config=HeartbeatConfig(interval=heartbeat_interval,
-                                   miss_threshold=miss_threshold))
+        self.detector = HeartbeatDetector(self.simulator)
         self.availability = AvailabilityTracker()
         self.activity_rng = RandomSource(seed + 5)
 
@@ -604,21 +674,6 @@ class ProtocolMergeHarness:  # simlint: ignore[SIM003] — one per experiment, n
             sides.append(chunk)
         return sides
 
-    def _cross_side_suspected(self, spec: SplitSpec) -> bool:
-        """Has every monitored cross-side peer landed on a suspect list?"""
-        simulator = self.simulator
-        for object_id in sorted(simulator.nodes):
-            node = simulator.nodes[object_id]
-            own = spec.side_of(object_id)
-            if own is None:
-                continue
-            for peer in node.monitored_peers():
-                peer_side = spec.side_of(peer)
-                if (peer_side is not None and peer_side != own
-                        and peer not in node.suspects):
-                    return False
-        return True
-
     def _serve_side_queries(self, spec: SplitSpec, phase: str,
                             count: int) -> None:
         for index in range(self.num_sides):
@@ -649,10 +704,8 @@ class ProtocolMergeHarness:  # simlint: ignore[SIM003] — one per experiment, n
             # Detection + per-side stabilisation, under the configured
             # split-era loss (retry-safe machinery only).
             self.faults.set_loss(self.loss_probability)
-            for _ in range(self.max_detection_rounds):
-                self.detector.run_round()
-                if self._cross_side_suspected(spec):
-                    break
+            self.detector.detect(self.max_detection_rounds,
+                                 across_split(spec.side_of))
             for index in range(self.num_sides):
                 with runtime.side(index):
                     RepairProtocol(simulator, detector=self.detector,

@@ -1,8 +1,9 @@
 """Tests of the message-level fault subsystem.
 
-Covers the fault plane (crash/loss/partition decisions, including a
-Hypothesis pin of seed-determinism), heartbeat detection, the phased
-repair protocol, protocol-vs-oracle crash parity, and the churn harness.
+Covers the fault plane (crash/loss/partition decisions — a partition is a
+two-sided split — including a Hypothesis pin of seed-determinism),
+heartbeat detection, the phased repair protocol, protocol-vs-oracle crash
+parity, and the churn harness.
 """
 
 import pytest
@@ -50,7 +51,7 @@ class TestFaultPlane:
         with pytest.raises(ValueError):
             FaultPlane(delay_probability=0.5, delay_range=(3.0, 1.0))
         with pytest.raises(ValueError):
-            FaultPlane().partition([1, 2], start=5.0, end=1.0)
+            FaultPlane().split([[1, 2], [3]], start=5.0, end=1.0)
 
     def test_crashed_endpoints_drop(self):
         plane = FaultPlane(seed=1)
@@ -66,7 +67,7 @@ class TestFaultPlane:
 
     def test_partition_cuts_only_inside_window(self):
         plane = FaultPlane(seed=2)
-        plane.partition([1, 2], start=10.0, end=20.0)
+        plane.split([[1, 2], [5]], start=10.0, end=20.0)
         crossing = Message(sender=1, recipient=5, kind="X")
         internal = Message(sender=1, recipient=2, kind="X")
         assert plane.decide(crossing, 5.0).deliver          # before the window
@@ -75,7 +76,7 @@ class TestFaultPlane:
         assert plane.decide(crossing, 20.0).deliver         # half-open end
         # The expired window was pruned by the decide() above; only the
         # newly added spec is left for heal to drop.
-        plane.partition([5], start=30.0, end=40.0)
+        plane.split([[5], [1, 2]], start=30.0, end=40.0)
         assert plane.heal_partitions() == 1
         assert plane.decide(crossing, 15.0).deliver
 
@@ -115,7 +116,7 @@ class TestFaultPlane:
                                delay_range=(1.0, 2.0))
             for object_id in crashed:
                 plane.crash(object_id)
-            plane.partition([0, 1, 2], start=5.0, end=9.0)
+            plane.split([[0, 1, 2], range(3, 31)], start=5.0, end=9.0)
             planes.append(plane)
         messages = [Message(sender=a, recipient=b, kind="X")
                     for a, b in endpoints]
@@ -162,13 +163,13 @@ class TestHeartbeatDetector:
     def test_validation(self):
         simulator = build_simulator(count=20, seed=6)
         with pytest.raises(ValueError):
-            HeartbeatDetector(simulator, interval=0.0)
+            HeartbeatDetector(simulator, HeartbeatConfig(interval=0.0))
         with pytest.raises(ValueError):
-            HeartbeatDetector(simulator, miss_threshold=0)
+            HeartbeatDetector(simulator, HeartbeatConfig(miss_threshold=0))
 
     def test_healthy_overlay_produces_no_suspects(self):
         simulator = build_simulator(count=60, seed=6)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator)
         assert detector.run_rounds(3) == []
         assert detector.suspected() == {}
 
@@ -176,7 +177,8 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=80, seed=7)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(1))
         victims = set(injector.crash_random(8))
-        detector = HeartbeatDetector(simulator, miss_threshold=3)
+        detector = HeartbeatDetector(simulator,
+                                     HeartbeatConfig(miss_threshold=3))
         assert detector.run_rounds(2) == []          # below the threshold
         created = detector.run_round()               # third miss trips it
         assert created
@@ -191,7 +193,7 @@ class TestHeartbeatDetector:
         simulator = build_simulator(count=80, seed=8)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(2))
         victims = set(injector.crash_random(10))
-        HeartbeatDetector(simulator, miss_threshold=2).run_rounds(2)
+        HeartbeatDetector(simulator).run_rounds(2)
         for node in simulator.nodes.values():
             assert not victims & set(node.close)
             assert not {source for source, _ in node.back_links} & victims
@@ -201,11 +203,11 @@ class TestHeartbeatDetector:
         suspicion; once healed, probes exonerate the live suspects."""
         simulator = build_simulator(count=60, seed=10)
         plane = simulator.faults
-        isolated = simulator.object_ids()[:6]
-        detector = HeartbeatDetector(simulator, interval=5.0,
-                                     miss_threshold=2)
+        ids = simulator.object_ids()
+        detector = HeartbeatDetector(simulator,
+                                     HeartbeatConfig(interval=5.0))
         start = simulator.engine.now
-        plane.partition(isolated, start=start, end=start + 18.0)
+        plane.split([ids[:6], ids[6:]], start=start, end=start + 18.0)
         detector.start(duration=20.0)
         simulator.engine.run()
         detector.stop()
@@ -240,21 +242,15 @@ class TestHeartbeatConfig:
         assert HeartbeatConfig(sample_fraction=0.25).sample_period == 4
         assert HeartbeatConfig(sample_fraction=0.1).sample_period == 10
 
-    def test_detector_rejects_config_plus_kwargs(self):
-        simulator = build_simulator(count=20, seed=6)
-        with pytest.raises(ValueError):
-            HeartbeatDetector(simulator, interval=4.0,
-                              config=HeartbeatConfig())
-
     def test_full_probe_config_is_byte_identical_to_kwargs(self):
-        """Parity pin: with piggyback/sampling off, the optimized detector
-        takes the legacy code path — identical counters on twin overlays."""
+        """Parity pin: the default detector and one given the full-probe
+        config's keyword values explicitly take the same code path —
+        identical counters on twin overlays."""
         counters = []
-        for construct in ("kwargs", "config"):
+        for construct in ("default", "config"):
             simulator = build_simulator(count=80, seed=21)
-            if construct == "kwargs":
-                detector = HeartbeatDetector(simulator, interval=8.0,
-                                             miss_threshold=2)
+            if construct == "default":
+                detector = HeartbeatDetector(simulator)
             else:
                 detector = HeartbeatDetector(
                     simulator, config=HeartbeatConfig(interval=8.0,
@@ -453,7 +449,7 @@ class TestProtocolOracleCrashParity:
         assert fixed > 0
         assert oracle_injector.assess_damage().total_stale_entries == 0
 
-        detector = HeartbeatDetector(protocol, miss_threshold=2)
+        detector = HeartbeatDetector(protocol)
         detector.run_rounds(2)
         report = RepairProtocol(protocol, detector=detector).repair()
         assert report.converged
@@ -475,7 +471,7 @@ class TestRepairProtocol:
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(4))
         injector.crash_random(15)
         simulator.faults.set_loss(0.15)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator)
         detector.run_rounds(3)
         report = RepairProtocol(simulator, detector=detector,
                                 max_rounds=16).repair()
@@ -499,7 +495,7 @@ class TestRepairProtocol:
         _, total_before = close_state(simulator)
         assert total_before > 0
         simulator.faults.set_loss(0.35)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator)
         detector.run_rounds(4)          # heavy loss: false suspicion forms
         report = RepairProtocol(simulator, detector=detector,
                                 max_rounds=32).repair()
@@ -514,7 +510,7 @@ class TestRepairProtocol:
         simulator = build_simulator(count=120, seed=14)
         injector = ProtocolCrashInjector(simulator, rng=RandomSource(5))
         injector.crash_random(12)
-        detector = HeartbeatDetector(simulator, miss_threshold=2)
+        detector = HeartbeatDetector(simulator)
         detector.run_rounds(2)
         assert RepairProtocol(simulator, detector=detector).repair().converged
         rng = RandomSource(6)
@@ -604,9 +600,10 @@ class TestProtocolChurnHarness:
 class TestPartitionEdgeCases:
     """Boundary semantics of partition windows on the virtual clock.
 
-    The fault plane decides a message's fate at *send* time, and the
-    window is half-open (``start <= now < end``).  These tests pin both
-    facts: a message sent before the window opens sails through even
+    A partition is a two-sided split: the isolated ids on one side, the
+    rest on the other.  The fault plane decides a message's fate at
+    *send* time, and the window is half-open (``start <= now < end``).
+    These tests pin both facts: a message sent before the window opens sails through even
     though its delivery lands inside the window, and the exact boundary
     instants behave deterministically (window start cuts, window end
     does not, a crash landing on the boundary takes precedence).
@@ -624,7 +621,7 @@ class TestPartitionEdgeCases:
         network.register(1, lambda message: None)
         network.register(2, lambda message: received.append(
             (engine.now, message.kind)))
-        plane.partition([2], start=5.0, end=20.0)
+        plane.split([[2], [1]], start=5.0, end=20.0)
         # Sent at t=0 (window closed), delivered at t=10 (window open):
         # the decision was taken at send time, so it goes through.
         network.send(Message(sender=1, recipient=2, kind="EARLY"))
@@ -647,7 +644,7 @@ class TestPartitionEdgeCases:
         received = []
         network.register(1, lambda message: None)
         network.register(2, lambda message: received.append(message.kind))
-        plane.partition([2], start=5.0, end=10.0)
+        plane.split([[2], [1]], start=5.0, end=10.0)
         # t=5 exactly: the half-open window includes its start — cut.
         engine.schedule(5.0, lambda: network.send(
             Message(sender=1, recipient=2, kind="AT_START")))
@@ -678,7 +675,7 @@ class TestPartitionEdgeCases:
         decisions = []
         for _ in range(2):
             plane = FaultPlane(seed=seed)
-            plane.partition([2], start=start, end=end)
+            plane.split([[2], [1]], start=start, end=end)
             if crash_on_boundary:
                 plane.crash(1)
             now = end if at_end else start
