@@ -18,8 +18,7 @@ Two entry points:
 * ``python benchmarks/bench_protocol_bulk_join.py --objects 2000 --output
   benchmarks/BENCH_protocol_bulk_join.json`` — the standalone runner
   emitting the JSON bench record; exits non-zero when the structural
-  checks fail or the speedup drops below ``--min-speedup`` (CI smoke runs
-  use 1.0: batched must never be slower).
+  checks fail (``benchmarks/check_bench.py`` gates the speedup).
 """
 
 from __future__ import annotations
@@ -153,9 +152,6 @@ def main(argv=None) -> int:
                         help="ADD_OBJECT pipeline chunk (default: protocol default)")
     parser.add_argument("--rounds", type=int, default=2,
                         help="timed rounds per construction path (min is kept)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the bulk/sequential ratio drops below "
-                             "this (CI smoke uses 1.0)")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON bench record here")
     args = parser.parse_args(argv)
@@ -170,9 +166,6 @@ def main(argv=None) -> int:
         print(f"record written to {args.output}")
     ok = (record["view_problems"] == 0
           and record["structure_identical_to_sequential"])
-    if args.min_speedup is not None and record["speedup"] < args.min_speedup:
-        print(f"FAIL: speedup {record['speedup']} < required {args.min_speedup}")
-        ok = False
     return 0 if ok else 1
 
 

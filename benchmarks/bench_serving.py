@@ -95,6 +95,13 @@ def run_serving_bench(objects: int = DEFAULT_OBJECTS,
     }
 
 
+def _format_load(load) -> str:
+    """Load imbalance figures, or "not measured" when no path was recorded."""
+    if load is None:
+        return "load not measured"
+    return f"gini={load['gini']:.3f} max/mean={load['max_mean']:.1f}"
+
+
 def format_serving(record: dict) -> str:
     """Multi-line human rendering of a serving bench record."""
     lines = [
@@ -105,13 +112,11 @@ def format_serving(record: dict) -> str:
     for system, by_workload in record["systems"].items():
         for workload, report in by_workload.items():
             hops = report["hops"]
-            load = report["load"]
             wall = (f", {report['wall_qps']:.0f} q/s wall"
                     if "wall_qps" in report else "")
             lines.append(
                 f"  {system:>9} / {workload:<7} hops p50={hops['p50']:.0f} "
-                f"p99={hops['p99']:.0f}  gini={load['gini']:.3f} "
-                f"max/mean={load['max_mean']:.1f}  "
+                f"p99={hops['p99']:.0f}  {_format_load(report['load'])}  "
                 f"ok={report['success_rate']:.3f}{wall}")
     parity = record["twin_parity"]
     lines.append(
@@ -124,6 +129,7 @@ def format_serving(record: dict) -> str:
         f"protocol plane: {protocol['queries']} contending queries, "
         f"latency p50={protocol['latency']['p50']:.1f} "
         f"p99={protocol['latency']['p99']:.1f} (virtual), "
+        f"{_format_load(protocol['load'])}, "
         f"ok={protocol['success_rate']:.3f}")
     return "\n".join(lines)
 

@@ -3,8 +3,7 @@
 Demonstrates the Morton-shard substrate on one machine:
 
 * ``bulk_load`` of N = 10⁶ objects into the sharded node store, plus a
-  routing sweep over the result (serial and with one fork worker per
-  Morton shard range, merged statistics);
+  routing sweep over the result;
 * the per-shard epoch claim — **rebuild work grows with shard size, not
   overlay size**: at each overlay size a fixed pool of warm routing
   tables is churned, and the tables rebuilt per churn event are counted
@@ -26,10 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -94,71 +91,10 @@ def _churn_probe(overlay: VoroNet, *, warm_tables: int, churn_events: int,
     }
 
 
-# Shard-range routing workers.  The overlay is published module-level
-# before the fork so workers inherit it copy-on-write; chunks of routing
-# pairs (one Morton shard range of sources per worker) are the only data
-# crossing the process boundary.
-_FORK_OVERLAY: Optional[VoroNet] = None
-
-
-def _route_pairs(overlay: VoroNet, pairs: List[Tuple[int, int]]) -> Tuple[List[int], int]:
-    results = overlay.route_many(pairs)
-    hops = [r.hops for r in results if r.success]
-    return hops, len(results) - len(hops)
-
-
-def _route_chunk(pairs: List[Tuple[int, int]]) -> Tuple[List[int], int]:
-    return _route_pairs(_FORK_OVERLAY, pairs)
-
-
-def _partition_by_shard_range(overlay: VoroNet, pairs: Sequence[Tuple[int, int]],
-                              workers: int) -> List[List[Tuple[int, int]]]:
-    """Split routing pairs into one chunk per Morton shard range of sources."""
-    store = overlay.shard_store
-    ranges = store.shard_ranges(workers)
-    chunks: List[List[Tuple[int, int]]] = [[] for _ in ranges]
-    bounds = [hi for _, hi in ranges]
-    for pair in pairs:
-        shard = store.shard_of(pair[0])
-        for index, hi in enumerate(bounds):
-            if shard < hi:
-                chunks[index].append(pair)
-                break
-    return [chunk for chunk in chunks if chunk]
-
-
-def _parallel_routing(overlay: VoroNet, pairs: Sequence[Tuple[int, int]],
-                      workers: int) -> Tuple[List[int], int, float]:
-    """Route ``pairs`` with one fork worker per shard range; merge the stats."""
-    global _FORK_OVERLAY
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        started = time.perf_counter()
-        hops, failures = _route_pairs(overlay, list(pairs))
-        return hops, failures, time.perf_counter() - started
-    chunks = _partition_by_shard_range(overlay, pairs, workers)
-    _FORK_OVERLAY = overlay
-    try:
-        context = multiprocessing.get_context("fork")
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_route_chunk, chunk) for chunk in chunks]
-            merged: List[int] = []
-            failures = 0
-            for future in futures:
-                hops, failed = future.result()
-                merged.extend(hops)
-                failures += failed
-        return merged, failures, time.perf_counter() - started
-    finally:
-        _FORK_OVERLAY = None
-
-
 def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SEED,
                     *, warm_tables: int = DEFAULT_WARM_TABLES,
                     churn_events: int = DEFAULT_CHURN_EVENTS,
-                    num_pairs: int = DEFAULT_PAIRS,
-                    routing_workers: int = 4) -> dict:
+                    num_pairs: int = DEFAULT_PAIRS) -> dict:
     """Run the shard-scale benchmark; returns the JSON bench record."""
     sizes = sorted(set(int(s) for s in sizes))
     rng = RandomSource(seed)
@@ -178,10 +114,9 @@ def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SE
             pairs = generate_routing_pairs(sharded.object_ids(), num_pairs,
                                            RandomSource(seed + 2))
             started = time.perf_counter()
-            serial_hops, serial_failures = _route_pairs(sharded, list(pairs))
-            seconds_serial = time.perf_counter() - started
-            merged_hops, merged_failures, seconds_parallel = _parallel_routing(
-                sharded, pairs, routing_workers)
+            results = sharded.route_many(pairs)
+            seconds_routing = time.perf_counter() - started
+            hops = [r.hops for r in results if r.success]
             headline = {
                 "objects": size,
                 "shard_level": level,
@@ -191,17 +126,10 @@ def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SE
                 "consistency_problems": consistency_problems,
                 "routing": {
                     "pairs": len(pairs),
-                    "seconds": round(seconds_serial, 3),
-                    "routes_per_second": round(len(pairs) / seconds_serial, 1),
-                    "mean_hops": round(sum(serial_hops) / max(len(serial_hops), 1), 3),
-                    "failures": serial_failures,
-                },
-                "parallel_routing": {
-                    "workers": routing_workers,
-                    "seconds": round(seconds_parallel, 3),
-                    "routes_per_second": round(len(pairs) / seconds_parallel, 1),
-                    "failures": merged_failures,
-                    "identical_to_serial": sorted(merged_hops) == sorted(serial_hops),
+                    "seconds": round(seconds_routing, 3),
+                    "routes_per_second": round(len(pairs) / seconds_routing, 1),
+                    "mean_hops": round(sum(hops) / max(len(hops), 1), 3),
+                    "failures": len(results) - len(hops),
                 },
             }
         del sharded
@@ -245,9 +173,7 @@ def format_shard_scale(record: dict) -> str:
         f"({record['objects_per_second']} obj/s), "
         f"routing {record['routing']['routes_per_second']:.0f} routes/s "
         f"(mean {record['routing']['mean_hops']:.1f} hops, "
-        f"{record['routing']['failures']} failures), "
-        f"parallel x{record['parallel_routing']['workers']} identical: "
-        f"{record['parallel_routing']['identical_to_serial']}"
+        f"{record['routing']['failures']} failures)"
     ]
     lines.append("rebuilds/churn-event (sharded vs flat):")
     for row in record["per_size"]:
@@ -261,20 +187,19 @@ def format_shard_scale(record: dict) -> str:
 
 
 def test_shard_scale_smoke(benchmark, bench_scale):
-    """Sharded epochs cut rebuild work; parallel routing matches serial."""
+    """Sharded epochs cut rebuild work; every route succeeds."""
     from conftest import run_once
 
     base = max(2000, int(round(16_000 * bench_scale)))
     record = run_once(benchmark, run_shard_scale,
                       sizes=(base // 4, base), warm_tables=500,
-                      churn_events=10, num_pairs=2000, routing_workers=2)
+                      churn_events=10, num_pairs=2000)
     print()
     print(format_shard_scale(record))
     benchmark.extra_info.update(record)
 
     assert record["consistency_problems"] == 0
     assert record["routing"]["failures"] == 0
-    assert record["parallel_routing"]["identical_to_serial"]
     # The per-shard epochs must beat the global epoch on every probed size
     # (flat rebuilds the whole warm pool each event; canonical shows >4x at
     # 62k and >40x at 10^6 — leave headroom for tiny smoke sizes).
@@ -292,8 +217,6 @@ def main(argv=None) -> int:
     parser.add_argument("--warm-tables", type=int, default=DEFAULT_WARM_TABLES)
     parser.add_argument("--churn-events", type=int, default=DEFAULT_CHURN_EVENTS)
     parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="fork workers for the shard-range routing sweep")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the JSON bench record here")
     args = parser.parse_args(argv)
@@ -301,15 +224,13 @@ def main(argv=None) -> int:
     record = run_shard_scale(sizes=args.sizes, seed=args.seed,
                              warm_tables=args.warm_tables,
                              churn_events=args.churn_events,
-                             num_pairs=args.pairs,
-                             routing_workers=args.workers)
+                             num_pairs=args.pairs)
     print(format_shard_scale(record))
     if args.output is not None:
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"record written to {args.output}")
     ok = (record["consistency_problems"] == 0
           and record["routing"]["failures"] == 0
-          and record["parallel_routing"]["identical_to_serial"]
           and all(row["rebuild_reduction"] > 1.0 for row in record["per_size"]))
     return 0 if ok else 1
 

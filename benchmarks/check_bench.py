@@ -72,14 +72,22 @@ class Bench:
 #: Every CI-gated benchmark.  ``argv`` is the smoke-scale workload (the
 #: canonical records are produced by each script's defaults); tolerances
 #: are calibrated so the derived floors match or exceed the bars the old
-#: per-step ``--min-*`` flags encoded (see module docstring).
+#: per-step ``--min-*`` flags and ratio-vs-legacy gates encoded (see
+#: module docstring).
 REGISTRY: Tuple[Bench, ...] = (
     Bench("bulk_build", "bench_bulk_build", "BENCH_bulk_build.json",
           ("--objects", "400"),
           (Floor("speedup", 0.25),)),
     Bench("routing_cache", "bench_routing", "BENCH_routing.json",
           ("--objects", "400", "--pairs", "400"),
-          (Floor("speedup", 0.10),)),
+          # Warm-pass throughput, plus an exact counter: every warm hop
+          # must be served from a cached table (share 1.0), which fails
+          # on any return to per-hop view assembly, with no noise.  The
+          # smoke overlay routes in fewer hops than the canonical one, so
+          # its routes/s runs well above canonical; 0.30 keeps the floor
+          # over the ~6k routes/s per-hop assembly managed at smoke scale.
+          (Floor("routes_per_second", 0.30),
+           Floor("warm_hit_share", 1.0))),
     Bench("protocol_bulk_join", "bench_protocol_bulk_join",
           "BENCH_protocol_bulk_join.json",
           ("--objects", "400"),
@@ -90,10 +98,15 @@ REGISTRY: Tuple[Bench, ...] = (
           (Floor("steady_state_liveness.reduction", 0.50),)),
     Bench("engine", "bench_engine", "BENCH_engine.json",
           ("--objects", "500", "--churn-ops", "60", "--repeat", "2"),
-          (Floor("speedup", 0.40), Floor("optimized_messages_per_sec", 0.10))),
+          # Absolute replay throughput (0.35 keeps the floor over the
+          # ~154k msg/s the old 1.37x-legacy ratio asked for), and the O(1)
+          # quiescence check: 0.05 of canonical is still ~100x what a
+          # queue scan manages.
+          (Floor("messages_per_sec", 0.35),
+           Floor("quiescence.checks_per_sec", 0.05))),
     Bench("shard_scale", "bench_shard_scale", "BENCH_shard_scale.json",
           ("--sizes", "4000", "16000", "--warm-tables", "500",
-           "--churn-events", "10", "--pairs", "2000", "--workers", "2"),
+           "--churn-events", "10", "--pairs", "2000"),
           # Canonical reduction at N=10^6 is ~5000x; at the 16k smoke
           # scale the coarser shard grid yields ~100x.  0.005 puts the
           # floor at ~25x: far under honest smoke runs, far over the

@@ -71,21 +71,6 @@ class VoroNetConfig:
         from their introducer regardless); lookup/query hop counts shrink
         because requests enter near their target.  Disable to model every
         request entering the overlay at a uniformly random peer.
-    use_routing_cache:
-        Serve greedy forwarding from the overlay's epoch-invalidated flat
-        routing tables (see the :mod:`repro.core.overlay` module docstring
-        for the invalidation contract).  Results are identical with the
-        cache on or off — only the per-hop constant factor changes; the
-        switch exists so parity tests and benchmarks can compare the two
-        paths on the same overlay structure.
-    use_node_routing_cache:
-        Protocol-mode analogue of ``use_routing_cache``: each
-        :class:`~repro.simulation.protocol.ProtocolNode` serves greedy
-        forwarding from a flat candidate block cached against its local
-        view epoch (bumped by every view-mutating message handler) instead
-        of assembling a candidate dict per hop.  Answers and hop counts are
-        identical either way; disable to keep the per-hop assembly baseline
-        for parity tests.
     shard_level:
         Morton prefix depth of the sharded node store: the unit square is
         split into ``4 ** shard_level`` Z-order shards, each carrying its
@@ -113,8 +98,6 @@ class VoroNetConfig:
     maintain_back_links: bool = True
     allow_overflow: bool = False
     use_locate_index: bool = True
-    use_routing_cache: bool = True
-    use_node_routing_cache: bool = True
     shard_level: Optional[int] = None
     shard_occupancy: int = DEFAULT_SHARD_OCCUPANCY
     track_paths: bool = False

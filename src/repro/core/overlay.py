@@ -50,10 +50,9 @@ MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
 object ids when it knows them, bare otherwise — or cached tables go
 stale; the shared kernel, :class:`LocateGrid` and the sharded store are
 kept exactly in sync by the same entry points.  Cache hits never change
-results — with ``use_routing_cache`` disabled the same answers come from
-per-hop view assembly, which is what the parity tests assert, and
-``shard_level=0`` (one shard) reproduces the historical global-epoch
-behaviour exactly.
+results: the parity tests route against a per-hop view assembly kept in
+the test suite, and ``shard_level=0`` (one shard) reproduces the
+historical global-epoch behaviour exactly.
 """
 
 from __future__ import annotations
@@ -277,22 +276,14 @@ class VoroNet:
         neighbour ids (``vn ∪ cn ∪ LRn`` minus self, or without ``LRn`` for
         the Delaunay-only variant, sorted for determinism) and the aligned
         ``(k, 2)`` float64 position array.  Cached against the epoch of
-        the object's shard when the configuration enables the routing
-        cache; always equal to a freshly assembled
+        the object's shard; always equal to a freshly assembled
         :attr:`~repro.core.neighbors.NeighborView.routing_neighbors`.
         """
-        return self._entry_arrays(self._routing_entry(object_id, use_long_links))
-
-    @staticmethod
-    def _entry_arrays(entry: list) -> Tuple[np.ndarray, np.ndarray]:
-        """Id/position arrays of a routing entry, materialised on demand.
-
-        Arrays are built lazily into the entry itself so join-heavy churn
-        (which invalidates on every insert) never pays for numpy arrays it
-        immediately throws away; the hot loop passes the entry it already
-        holds, avoiding a second cache resolution.
-        """
+        entry = self._routing_entry(object_id, use_long_links)
         if entry[1] is None:
+            # Materialised lazily into the entry itself, so join-heavy churn
+            # (which invalidates on every insert) never pays for numpy
+            # arrays it immediately throws away.
             block = entry[3]
             entry[1] = np.asarray([cid for cid, _x, _y in block],
                                   dtype=np.int64)
@@ -300,22 +291,9 @@ class VoroNet:
                                   dtype=np.float64).reshape(len(block), 2)
         return entry[1], entry[2]
 
-    def _routing_block(self, object_id: int,
-                       use_long_links: bool) -> List[Tuple[int, float, float]]:
-        """Flat ``(id, x, y)`` scan block of one object's routing table.
-
-        The list form of :meth:`routing_table`, cached in the same entry;
-        the greedy hot loop scans it inline for the O(1)-size views of the
-        paper and switches to the numpy arrays past a size threshold.  The
-        cache-hit path is deliberately flat — one dict probe, one
-        shard-epoch compare — because it runs once per forwarding hop.
-        """
-        entry = self._routing_tables[use_long_links].get(object_id)
-        if entry is not None and entry[0] == self._store.epochs[entry[4]]:
-            return entry[3]
-        return self._routing_entry(object_id, use_long_links)[3]
-
     def _routing_entry(self, object_id: int, use_long_links: bool) -> list:
+        """The cached routing entry of one object, rebuilt (and counted in
+        ``routing_table_rebuilds``) when its shard's epoch has moved."""
         entry = self._routing_tables[use_long_links].get(object_id)
         epochs = self._store.epochs
         if entry is not None and entry[0] == epochs[entry[4]]:
@@ -332,12 +310,11 @@ class VoroNet:
             block = [(cid,) + nodes[cid].position for cid in sorted(candidates)]
         except KeyError as exc:
             # A view referencing a departed object (e.g. crash damage before
-            # repair) fails the same way the per-hop assembly path does.
+            # repair) fails like any lookup of a departed object.
             raise ObjectNotFoundError(exc.args[0]) from None
         shard = self._store.shard_of(object_id)
         entry = [epochs[shard], None, None, block, shard]
-        if self._config.use_routing_cache:
-            self._routing_tables[use_long_links][object_id] = entry
+        self._routing_tables[use_long_links][object_id] = entry
         return entry
 
     def degree_histogram(self) -> Dict[int, int]:

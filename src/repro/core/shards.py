@@ -14,11 +14,6 @@ Why Morton prefixes
   join or leave touches O(1) shards regardless of overlay size — the
   property that lets per-shard epochs replace the global
   ``topology_epoch`` without weakening the invalidation contract.
-* **Range-partitionable.** Shard indices are contiguous along the curve,
-  so a ``[lo, hi)`` shard range is a connected region of the plane;
-  parallel sweeps hand one range per worker and each worker's objects
-  are spatially clustered (warm kernel caches, balanced close-neighbour
-  work).
 * **Cheap to compute.** The shard of a point is two clamps and a table
   lookup; batches are vectorised with the classic part-by-one bit
   spreading.
@@ -103,9 +98,9 @@ class ShardedNodeStore:
     The store is *secondary* state: the overlay's ``_nodes`` dict remains
     the source of truth for per-object protocol state (links, back
     registrations), while this store serves the routing cache's epoch
-    domain, bulk geometry access and shard-range partitioning for
-    parallel workers.  The two are kept in sync by the overlay's mutation
-    entry points (insert / bulk_load / remove / crash injection).
+    domain and bulk geometry access.  The two are kept in sync by the
+    overlay's mutation entry points (insert / bulk_load / remove / crash
+    injection).
     """
 
     __slots__ = ("_level", "_num_shards", "_side", "_epochs", "_ids",
@@ -322,47 +317,6 @@ class ShardedNodeStore:
                 endpoints[row, index] = link.neighbor
         self._link_blocks[shard] = (epoch, ids, endpoints)
         return ids, endpoints
-
-    # ------------------------------------------------------------------
-    # range partitioning (parallel sweeps)
-    # ------------------------------------------------------------------
-    def shard_ranges(self, parts: int) -> List[Tuple[int, int]]:
-        """Split the shard index space into ≤ ``parts`` balanced ranges.
-
-        Ranges are contiguous ``[lo, hi)`` intervals of the Morton curve,
-        balanced by current object count, so each worker of a parallel
-        sweep receives a spatially connected region with roughly equal
-        population.  Empty trailing ranges are dropped.
-        """
-        if parts < 1:
-            raise ValueError(f"parts must be >= 1, got {parts}")
-        total = len(self._locators)
-        if total == 0 or parts == 1 or self._num_shards == 1:
-            return [(0, self._num_shards)]
-        target = total / parts
-        ranges: List[Tuple[int, int]] = []
-        lo = 0
-        acc = 0
-        for shard in range(self._num_shards):
-            acc += self._counts[shard]
-            if acc >= target and len(ranges) < parts - 1:
-                ranges.append((lo, shard + 1))
-                lo = shard + 1
-                acc = 0
-        if lo < self._num_shards:
-            ranges.append((lo, self._num_shards))
-        return [r for r in ranges if self._range_count(r) > 0] or [(0, self._num_shards)]
-
-    def _range_count(self, shard_range: Tuple[int, int]) -> int:
-        lo, hi = shard_range
-        return sum(self._counts[lo:hi])
-
-    def ids_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Concatenated id blocks of shards ``[lo, hi)``."""
-        blocks = [self.shard_ids(s) for s in range(lo, hi) if self._counts[s]]
-        if not blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(blocks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         occupied = sum(1 for c in self._counts if c)

@@ -152,7 +152,9 @@ class _Aggregator:
             "hops": hop_summary,
             "latency": (self.latency.summary() if self.served
                         else {"count": 0.0}),
-            "load": self.load.summary(),
+            # Load is counted from recorded route paths; without them it
+            # was not measured, which is not the same as zero load.
+            "load": self.load.summary() if self.load.total else None,
             "windows": windows,
         }
 

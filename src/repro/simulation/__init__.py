@@ -29,9 +29,7 @@ oracle handles:
 * **Per-node routing cache** — each ``ProtocolNode`` serves greedy
   forwarding from a flat candidate block cached against its local view
   epoch, the protocol-mode analogue of the oracle's epoch-cached routing
-  tables.  ``VoroNetConfig.use_node_routing_cache`` (default ``True``)
-  switches back to per-hop candidate-dict assembly for parity testing;
-  answers and hop counts are identical either way.
+  tables.
 
 Fault injection and self-healing
 --------------------------------

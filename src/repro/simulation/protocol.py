@@ -41,9 +41,9 @@ Per-node routing cache
 Greedy forwarding reads each node's candidates from a lazily built flat
 ``(id, x, y)`` block cached against the node's :attr:`ProtocolNode.view_epoch`,
 which every view-mutating message handler bumps — the protocol-mode
-analogue of the oracle's epoch-cached routing tables.  The
-``use_node_routing_cache`` configuration switch keeps the per-hop dict
-assembly baseline for parity tests; answers are identical either way.
+analogue of the oracle's epoch-cached routing tables.  The parity tests
+compare it with a per-hop scan of :meth:`ProtocolNode.routing_candidates`
+kept in the test suite.
 
 Fault tolerance
 ---------------
@@ -333,20 +333,12 @@ class ProtocolNode:
         best = None
         best_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
         suspects = self.suspects if self.suspects else None
-        if self.simulator.config.use_node_routing_cache:
-            for neighbor, x, y in self.routing_block():
-                if suspects is not None and neighbor in suspects:
-                    continue
-                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
-                if d < best_d:
-                    best, best_d = neighbor, d
-        else:
-            for neighbor, (x, y) in self.routing_candidates().items():
-                if suspects is not None and neighbor in suspects:
-                    continue
-                d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
-                if d < best_d:
-                    best, best_d = neighbor, d
+        for neighbor, x, y in self.routing_block():
+            if suspects is not None and neighbor in suspects:
+                continue
+            d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
+            if d < best_d:
+                best, best_d = neighbor, d
         return best
 
     def view_size(self) -> int:

@@ -280,7 +280,14 @@ class MovingObjects:
         if object_id is None:
             object_id = ids[self._rng.integer(0, len(ids))]
         position = overlay.position_of(object_id)
+        # Clipping can push two objects onto the same point of the square's
+        # boundary, which ``insert`` rejects as a duplicate: redraw such a
+        # jitter.  A free target costs no extra draw, so seeded streams are
+        # unchanged wherever no collision happens.
+        vertex_at = overlay.triangulation.vertex_at
         target = self._jitter(position)
+        while vertex_at(target) not in (None, object_id):
+            target = self._jitter(position)
         overlay.remove(object_id)
         new_id = overlay.insert(
             target, object_id=object_id if self.reuse_ids else None)

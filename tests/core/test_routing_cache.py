@@ -6,12 +6,12 @@ Three layers of protection for the routing hot path:
   loads and long-link churn, asserting after every step that each cached
   table equals a freshly assembled view (the module-level contract of
   :mod:`repro.core.overlay`);
-* a churn stress test at N≈500 keeping ``owner_of`` / ``lookup`` /
-  ``route`` answers identical with the cache on vs. off through
-  alternating insert/remove/link-reset bursts (locate-grid and table
-  invalidation under churn);
-* direct parity regressions for ``route`` / ``route_many`` /
-  ``lookup_many`` and the Algorithm 5 stopping rule.
+* a churn stress test at N≈500 keeping ``lookup`` / ``route`` answers
+  identical to a per-hop view-assembly reference (kept here, in the test
+  suite) through alternating insert/remove/link-reset bursts
+  (locate-grid and table invalidation under churn);
+* direct parity regressions against the same reference for ``route`` /
+  ``route_many`` / ``lookup_many`` and the Algorithm 5 stopping rule.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError
 from repro.core.routing import route_with_stopping_rule
+from repro.geometry.point import distance, distance_sq
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
 
@@ -105,128 +106,151 @@ TestRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
 
 
-def _twin_overlays(num_long_links=1, seed=2024, n_max=2000):
-    """Two structurally identical overlays, one cached, one not.
+def _reference_step(overlay, current, target, use_long_links=True):
+    """Greedy step by per-hop view assembly: a sorted scan over a fresh
+    ``NeighborView``, forwarding only on a strictly smaller distance."""
+    with_links, delaunay_only = fresh_routing_sets(overlay, current)
+    best = None
+    best_d = distance_sq(overlay.position_of(current), target)
+    for neighbor in sorted(with_links if use_long_links else delaunay_only):
+        d = distance_sq(overlay.position_of(neighbor), target)
+        if d < best_d:
+            best, best_d = neighbor, d
+    return best
 
-    Both consume their internal RNGs in the same order for the same
-    operation sequence, so their structures stay byte-identical and any
-    divergence in answers is the cache's fault.
-    """
-    overlays = []
-    for use_cache in (True, False):
-        overlays.append(VoroNet(VoroNetConfig(
-            n_max=n_max, num_long_links=num_long_links, seed=seed,
-            use_routing_cache=use_cache)))
-    return overlays
+
+def reference_route(overlay, source, target, use_long_links=True):
+    """``(owner, hops)`` of greedy routing by per-hop view assembly."""
+    target = (float(target[0]), float(target[1]))
+    current, hops = source, 0
+    while True:
+        nxt = _reference_step(overlay, current, target, use_long_links)
+        if nxt is None:
+            return current, hops
+        current, hops = nxt, hops + 1
+
+
+def reference_stopping_rule(overlay, source, target):
+    """``(owner, hops)`` of the Algorithm 5 stopping rule, same reference."""
+    target = (float(target[0]), float(target[1]))
+    d_min = overlay.config.effective_d_min
+    current, hops = source, 0
+    while True:
+        current_distance = distance(overlay.position_of(current), target)
+        if current_distance <= d_min:
+            return current, hops
+        if overlay.distance_to_region(current, target) <= current_distance / 3.0:
+            return current, hops
+        nxt = _reference_step(overlay, current, target)
+        if nxt is None:
+            return current, hops
+        current, hops = nxt, hops + 1
+
+
+def assert_matches_reference(result, overlay, target, use_long_links=True):
+    owner, hops = reference_route(overlay, result.source, target,
+                                  use_long_links)
+    assert (result.owner, result.hops) == (owner, hops)
 
 
 class TestChurnStress:
     def test_churn_bursts_keep_answers_identical(self):
         """Alternating insert/remove/link-churn bursts at N≈500: owner_of,
-        lookup and route answer identically with the cache on vs. off, and
-        the locate grid stays exactly in sync."""
-        cached, uncached = _twin_overlays(seed=501)
+        lookup and route answer exactly as the per-hop view-assembly
+        reference does, and the locate grid stays exactly in sync."""
+        overlay = VoroNet(VoroNetConfig(n_max=2000, num_long_links=1,
+                                        seed=501))
         pool = np.random.default_rng(501)
-        batch = [tuple(p) for p in pool.random((500, 2))]
-        cached.bulk_load(batch)
-        uncached.bulk_load(batch)
+        overlay.bulk_load([tuple(p) for p in pool.random((500, 2))])
 
         probe_rng = np.random.default_rng(777)
         for burst in range(3):
-            # Removal burst: the same ids leave both overlays.
-            ids = cached.object_ids()
-            doomed = probe_rng.choice(ids, size=40, replace=False)
-            for object_id in doomed:
-                cached.remove(int(object_id))
-                uncached.remove(int(object_id))
-            # Insert burst (routed joins; both overlays draw identically).
+            # Removal burst.
+            ids = overlay.object_ids()
+            for object_id in probe_rng.choice(ids, size=40, replace=False):
+                overlay.remove(int(object_id))
+            # Insert burst (routed joins).
             for point in pool.random((40, 2)):
-                cached.insert(tuple(point))
-                uncached.insert(tuple(point))
+                overlay.insert(tuple(point))
             # Long-link churn burst.
-            ids = cached.object_ids()
+            ids = overlay.object_ids()
             for object_id in probe_rng.choice(ids, size=10, replace=False):
-                cached.reset_long_links(int(object_id))
-                uncached.reset_long_links(int(object_id))
+                overlay.reset_long_links(int(object_id))
 
-            # The two overlays must still be structurally identical …
-            assert cached.object_ids() == uncached.object_ids()
-            # … the locate grid exactly in sync with the membership …
-            assert set(cached.object_ids()) == {
-                oid for oid in cached.object_ids()
-                if oid in cached.locate_index}
-            assert len(cached.locate_index) == len(cached)
-            # … and every answer identical, cache on vs. off.
-            ids = cached.object_ids()
+            # The locate grid exactly in sync with the membership …
+            assert set(overlay.object_ids()) == {
+                oid for oid in overlay.object_ids()
+                if oid in overlay.locate_index}
+            assert len(overlay.locate_index) == len(overlay)
+            # … and every answer identical to the reference.
+            ids = overlay.object_ids()
             for point in probe_rng.random((30, 2)):
                 point = tuple(point)
-                assert cached.owner_of(point) == uncached.owner_of(point)
-                lookup_c = cached.lookup(point)
-                lookup_u = uncached.lookup(point)
-                assert lookup_c.owner == lookup_u.owner
-                assert lookup_c.hops == lookup_u.hops
+                lookup = overlay.lookup(point)
+                assert overlay.owner_of(point) == lookup.owner
+                assert_matches_reference(lookup, overlay, point)
             for a, b in [probe_rng.choice(ids, size=2, replace=False)
                          for _ in range(30)]:
-                route_c = cached.route(int(a), int(b))
-                route_u = uncached.route(int(a), int(b))
-                assert route_c.owner == route_u.owner
-                assert route_c.hops == route_u.hops
+                route = overlay.route(int(a), int(b))
+                assert_matches_reference(route, overlay,
+                                         overlay.position_of(int(b)))
+            # … including the join-time Algorithm 5 stopping rule.
+            for source, point in zip(probe_rng.choice(ids, size=10),
+                                     probe_rng.random((10, 2))):
+                early = route_with_stopping_rule(overlay, int(source),
+                                                 tuple(point))
+                assert (early.owner, early.hops) == reference_stopping_rule(
+                    overlay, int(source), tuple(point))
 
-        assert cached.check_consistency() == []
-        assert_tables_match_views(cached)
+        assert overlay.check_consistency() == []
+        assert_tables_match_views(overlay)
 
 
 class TestCacheParity:
     @pytest.fixture(scope="class")
-    def twins(self):
-        cached, uncached = _twin_overlays(num_long_links=2, seed=88)
+    def overlay(self):
+        overlay = VoroNet(VoroNetConfig(n_max=2000, num_long_links=2,
+                                        seed=88))
         pool = np.random.default_rng(88)
         for point in pool.random((150, 2)):
-            cached.insert(tuple(point))
-            uncached.insert(tuple(point))
-        return cached, uncached
+            overlay.insert(tuple(point))
+        return overlay
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_parity(self, twins, use_long_links):
-        cached, uncached = twins
-        ids = cached.object_ids()
+    def test_route_parity(self, overlay, use_long_links):
+        ids = overlay.object_ids()
         rng = np.random.default_rng(5)
         for a, b in [rng.choice(ids, size=2, replace=False) for _ in range(40)]:
-            route_c = cached.route(int(a), int(b), use_long_links=use_long_links)
-            route_u = uncached.route(int(a), int(b), use_long_links=use_long_links)
-            assert route_c.owner == route_u.owner
-            assert route_c.hops == route_u.hops
+            route = overlay.route(int(a), int(b), use_long_links=use_long_links)
+            assert_matches_reference(route, overlay,
+                                     overlay.position_of(int(b)),
+                                     use_long_links)
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_many_parity(self, twins, use_long_links):
-        cached, uncached = twins
+    def test_route_many_parity(self, overlay, use_long_links):
         pairs = list(generate_routing_pairs(
-            cached.object_ids(), 60, RandomSource(6)))
-        results_c = cached.route_many(pairs, use_long_links=use_long_links)
-        results_u = uncached.route_many(pairs, use_long_links=use_long_links)
-        assert [(r.owner, r.hops) for r in results_c] == \
-            [(r.owner, r.hops) for r in results_u]
+            overlay.object_ids(), 60, RandomSource(6)))
+        results = overlay.route_many(pairs, use_long_links=use_long_links)
+        assert [(r.owner, r.hops) for r in results] == [
+            reference_route(overlay, a, overlay.position_of(b), use_long_links)
+            for a, b in pairs]
 
-    def test_lookup_many_parity(self, twins):
-        cached, uncached = twins
+    def test_lookup_many_parity(self, overlay):
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]
-        results_c = cached.lookup_many(points)
-        results_u = uncached.lookup_many(points)
-        assert [(r.owner, r.hops) for r in results_c] == \
-            [(r.owner, r.hops) for r in results_u]
+        for result, point in zip(overlay.lookup_many(points), points):
+            assert_matches_reference(result, overlay, point)
 
-    def test_stopping_rule_parity(self, twins):
-        """The Algorithm 5 stopping rule fires at the same hop either way."""
-        cached, uncached = twins
-        ids = cached.object_ids()
+    def test_stopping_rule_parity(self, overlay):
+        """The Algorithm 5 stopping rule fires at the same hop as the
+        reference's."""
+        ids = overlay.object_ids()
         rng = np.random.default_rng(8)
         for _ in range(40):
             source = int(rng.choice(ids))
             target = tuple(rng.random(2))
-            early_c = route_with_stopping_rule(cached, source, target)
-            early_u = route_with_stopping_rule(uncached, source, target)
-            assert early_c.owner == early_u.owner
-            assert early_c.hops == early_u.hops
+            early = route_with_stopping_rule(overlay, source, target)
+            assert (early.owner, early.hops) == \
+                reference_stopping_rule(overlay, source, target)
 
 
 class TestEpochContract:
@@ -274,11 +298,15 @@ class TestEpochContract:
                        for variant in overlay._routing_tables.values())
         assert_tables_match_views(overlay)
 
-    def test_cache_disabled_stores_nothing(self):
-        overlay = VoroNet(VoroNetConfig(
-            n_max=64, seed=12, use_routing_cache=False))
-        overlay.bulk_load([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9), (0.5, 0.4)])
-        for object_id in overlay.object_ids():
-            overlay.routing_table(object_id)
-        assert all(not variant for variant in overlay._routing_tables.values())
-        assert_tables_match_views(overlay)
+    def test_warm_routes_rebuild_nothing(self):
+        """Once every table a batch touches is built, re-routing the batch
+        serves every hop from the cache: zero rebuilds."""
+        overlay = VoroNet(VoroNetConfig(n_max=1000, seed=12))
+        overlay.bulk_load([tuple(p) for p in
+                           np.random.default_rng(12).random((300, 2))])
+        pairs = list(generate_routing_pairs(
+            overlay.object_ids(), 200, RandomSource(13)))
+        overlay.route_many(pairs)
+        before = overlay.stats.routing_table_rebuilds
+        overlay.route_many(pairs)
+        assert overlay.stats.routing_table_rebuilds == before

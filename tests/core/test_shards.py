@@ -17,7 +17,7 @@ Four layers:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig
@@ -153,27 +153,6 @@ class TestEpochSemantics:
         store = ShardedNodeStore(1)
         store.bump_all()
         assert store.epochs == [1, 1, 1, 1]
-
-
-class TestRangePartitioning:
-    def test_ranges_cover_curve_and_balance_population(self):
-        store = ShardedNodeStore(3)
-        rng = np.random.default_rng(5)
-        store.bulk_insert(list(range(1000)), rng.random((1000, 2)))
-        ranges = store.shard_ranges(4)
-        assert ranges[0][0] == 0 and ranges[-1][1] == store.num_shards
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo  # contiguous, disjoint
-        counts = [len(store.ids_in_range(lo, hi)) for lo, hi in ranges]
-        assert sum(counts) == 1000
-        assert max(counts) <= 2 * min(counts) + store.num_shards
-
-    def test_single_part_is_whole_curve(self):
-        store = ShardedNodeStore(2)
-        store.insert(1, (0.5, 0.5))
-        assert store.shard_ranges(1) == [(0, store.num_shards)]
-        with pytest.raises(ValueError):
-            store.shard_ranges(0)
 
 
 def _twin_overlays(seed=3100, n_max=4096, shard_level=3):
@@ -343,12 +322,21 @@ class TestShardBoundaryHypothesis:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
+    # Seeds that snapped two points into one corner cell, where clipping
+    # put both jittered copies on the same point.
+    @example(seed=960)
+    @example(seed=1328)
+    @example(seed=58232)
     def test_overlay_boundary_inserts_keep_store_in_sync(self, seed):
         """Overlay-level churn with positions snapped near shard lines."""
         rng = np.random.default_rng(seed)
         snapped = np.round(rng.random((24, 2)) * 8) / 8
         jitter = (rng.random((24, 2)) - 0.5) * 1e-6
-        points = np.clip(snapped + jitter, 0.0, 1.0)
+        # One point per snapped grid cell, in draw order: distinct cells
+        # stay distinct after the sub-cell jitter and the clip.
+        _cells, first = np.unique(snapped, axis=0, return_index=True)
+        keep = np.sort(first)
+        points = np.clip(snapped[keep] + jitter[keep], 0.0, 1.0)
         overlay = VoroNet(VoroNetConfig(
             n_max=2048, seed=seed, shard_level=3, num_long_links=1))
         ids = []

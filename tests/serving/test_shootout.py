@@ -98,3 +98,18 @@ class TestProtocolServing:
         assert report["concurrency"] == 5
         # Answer delivery adds at least one unit beyond the query hops.
         assert report["latency"]["p50"] > report["hops"]["p50"]
+
+    def test_load_without_paths_is_not_measured(self):
+        """No recorded route paths means no load figures — never zeros."""
+        report = run_protocol_serving(90, 180, seed=6, concurrency=5)
+        assert report["load"] is None
+
+    def test_load_with_paths_is_measured(self):
+        report = run_protocol_serving(90, 180, seed=6, concurrency=5,
+                                      record_paths=True)
+        load = report["load"]
+        # Every served query's path holds its source and every hop.
+        assert load["total"] == pytest.approx(
+            report["served"] * (1 + report["hops"]["mean"]))
+        assert load["nodes_hit"] > 0
+        assert load["gini"] > 0

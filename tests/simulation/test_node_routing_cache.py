@@ -6,11 +6,16 @@ The protocol-level mirror of :mod:`tests.core.test_routing_cache`:
   and queries, asserting after every step that each node's cached flat
   block equals its freshly assembled candidate dict and that view epochs
   never move backwards;
-* twin simulators (cache on vs. off) fed identical operation sequences,
-  asserting byte-identical query owners and hop counts;
+* twin simulators fed identical operation sequences, one forwarding from
+  the cached block and one from a per-hop scan of
+  :meth:`~repro.simulation.protocol.ProtocolNode.routing_candidates` (the
+  reference, kept here), asserting byte-identical query owners and hop
+  counts;
 * direct checks of the epoch/invalidation contract (`touch_view` on every
-  view-mutating handler, no block stored when the cache is disabled).
+  view-mutating handler).
 """
+
+import contextlib
 
 import numpy as np
 from hypothesis import settings
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core import VoroNetConfig
-from repro.simulation.protocol import ProtocolSimulator
+from repro.simulation.protocol import ProtocolNode, ProtocolSimulator
 from repro.utils.rng import RandomSource
 from repro.workloads.distributions import UniformDistribution
 from repro.workloads.generators import generate_objects
@@ -92,60 +97,80 @@ TestNodeRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
 
 
+def _reference_next_hop(node, target):
+    """Greedy next hop by a per-hop scan of the fresh candidate dict."""
+    tx, ty = target
+    px, py = node.position
+    best = None
+    best_d = (px - tx) * (px - tx) + (py - ty) * (py - ty)
+    for neighbor, (x, y) in node.routing_candidates().items():
+        if neighbor in node.suspects:
+            continue
+        d = (x - tx) * (x - tx) + (y - ty) * (y - ty)
+        if d < best_d:
+            best, best_d = neighbor, d
+    return best
+
+
+@contextlib.contextmanager
+def reference_forwarding():
+    """Route every node's greedy hops through the reference scan."""
+    shipped = ProtocolNode.greedy_next_hop
+    ProtocolNode.greedy_next_hop = _reference_next_hop
+    try:
+        yield
+    finally:
+        ProtocolNode.greedy_next_hop = shipped
+
+
 def _twin_simulators(seed=88, n_max=2000, num_long_links=2):
-    """Two structurally identical simulators, one cached, one not."""
-    simulators = []
-    for use_cache in (True, False):
-        simulators.append(ProtocolSimulator(VoroNetConfig(
-            n_max=n_max, num_long_links=num_long_links, seed=seed,
-            use_node_routing_cache=use_cache), seed=seed))
-    return simulators
+    """Two structurally identical simulators (same config and seed)."""
+    config = VoroNetConfig(n_max=n_max, num_long_links=num_long_links,
+                           seed=seed)
+    return ProtocolSimulator(config, seed=seed), ProtocolSimulator(config,
+                                                                   seed=seed)
 
 
 class TestCacheParity:
     def test_identical_answers_through_churn(self):
-        """Joins, bulk joins, leaves and queries answer identically with the
-        node cache on vs. off."""
-        cached, uncached = _twin_simulators(seed=505)
+        """Joins, bulk joins, leaves and queries answer identically whether
+        hops scan the cached block or the reference's fresh candidates."""
+        cached, reference = _twin_simulators(seed=505)
         positions = generate_objects(UniformDistribution(), 260, RandomSource(505))
         cached.bulk_join(positions[:200])
-        uncached.bulk_join(positions[:200])
+        with reference_forwarding():
+            reference.bulk_join(positions[:200])
         for position in positions[200:]:
             report_c = cached.join(position)
-            report_u = uncached.join(position)
+            with reference_forwarding():
+                report_r = reference.join(position)
             assert (report_c.object_id, report_c.routing_hops) == \
-                (report_u.object_id, report_u.routing_hops)
+                (report_r.object_id, report_r.routing_hops)
 
         probe_rng = np.random.default_rng(606)
         ids = cached.object_ids()
         for victim in probe_rng.choice(ids, size=30, replace=False):
             report_c = cached.leave(int(victim))
-            report_u = uncached.leave(int(victim))
-            assert report_c.messages == report_u.messages
+            with reference_forwarding():
+                report_r = reference.leave(int(victim))
+            assert report_c.messages == report_r.messages
 
         for point in probe_rng.random((40, 2)):
             point = tuple(point)
             start = int(probe_rng.choice(cached.object_ids()))
             answer_c = cached.query(point, start=start)
-            answer_u = uncached.query(point, start=start)
-            assert answer_c.owner == answer_u.owner
-            assert answer_c.routing_hops == answer_u.routing_hops
-            assert answer_c.messages == answer_u.messages
+            with reference_forwarding():
+                answer_r = reference.query(point, start=start)
+            assert answer_c.owner == answer_r.owner
+            assert answer_c.routing_hops == answer_r.routing_hops
+            assert answer_c.messages == answer_r.messages
 
         assert cached.verify_views() == []
-        assert uncached.verify_views() == []
+        assert reference.verify_views() == []
         assert_blocks_match_candidates(cached)
-
-    def test_disabled_cache_builds_no_blocks(self):
-        """With the switch off, greedy hops never materialise a block."""
-        simulator = ProtocolSimulator(VoroNetConfig(
-            n_max=128, seed=42, use_node_routing_cache=False), seed=42)
-        simulator.bulk_join(generate_objects(
-            UniformDistribution(), 40, RandomSource(42)))
-        for _ in range(10):
-            simulator.query(tuple(np.random.default_rng(1).random(2)))
-        assert all(simulator.node(oid)._block is None
-                   for oid in simulator.object_ids())
+        # The reference really forwarded without the cache.
+        assert all(reference.node(oid)._block is None
+                   for oid in reference.object_ids())
 
 
 class TestEpochContract:

@@ -176,3 +176,24 @@ class TestMovingObjects:
         for _ in range(3):
             mover.apply(overlay)
         assert mover.moves_applied == 3
+
+    def test_clipped_jitter_never_lands_on_another_object(self):
+        """A jitter clipped onto an occupied corner is drawn again instead of
+        making ``insert`` reject the move as a duplicate."""
+        corner = (1e-9, 1e-9)  # where MovingObjects clips a jitter to
+        for seed in range(20):
+            overlay = VoroNet(n_max=64, seed=seed)
+            ids = overlay.bulk_load(_positions(20, seed=seed)
+                                    + [corner, (0.002, 0.002)])
+            mover = MovingObjects(seed=seed, step_sigma=1.0)
+            mover.apply(overlay, ids[-1])
+            assert overlay.position_of(ids[-2]) == corner
+            assert overlay.position_of(ids[-1]) != corner
+            assert overlay.check_consistency() == []
+
+    def test_free_jitter_takes_a_single_draw(self):
+        overlay, ids = self._overlay()
+        mover, twin = MovingObjects(seed=5), MovingObjects(seed=5)
+        expected = twin._jitter(overlay.position_of(ids[0]))
+        mover.apply(overlay, ids[0])
+        assert overlay.position_of(ids[0]) == expected
