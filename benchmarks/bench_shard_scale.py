@@ -1,16 +1,16 @@
 """Benchmark SHARD — million-object substrate: sharded epochs at scale.
 
-Demonstrates the Morton-shard substrate on one machine:
+Demonstrates the per-shard routing-table epochs on one machine:
 
-* ``bulk_load`` of N = 10⁶ objects into the sharded node store, plus a
-  routing sweep over the result;
+* ``bulk_load`` of N = 10⁶ objects, plus a routing sweep over the result;
 * the per-shard epoch claim — **rebuild work grows with shard size, not
   overlay size**: at each overlay size a fixed pool of warm routing
-  tables is churned, and the tables rebuilt per churn event are counted
-  for the sharded store and for the flat-store baseline
-  (``shard_level=0``, the pre-shard global epoch).  Flat rebuilds stay at
-  the warm-pool size regardless of N; sharded rebuilds shrink as the
-  shard grid refines.
+  tables is churned, and the tables rebuilt per churn event are counted.
+  The baseline is a single global epoch, which rebuilds every distinct
+  warm table on every churn event, so its count is the number of
+  distinct tables in the pool and needs no second overlay.  Global-epoch
+  rebuilds stay at the warm-pool size regardless of N; per-shard
+  rebuilds shrink as the shard grid refines.
 
 Two entry points:
 
@@ -28,7 +28,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 if __name__ == "__main__":  # script mode: make src/ importable without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -49,10 +49,9 @@ DEFAULT_CHURN_EVENTS = 20
 DEFAULT_PAIRS = 20_000
 
 
-def _build_overlay(positions, *, seed: int, shard_level: Optional[int]) -> Tuple[VoroNet, float]:
+def _build_overlay(positions, *, seed: int) -> Tuple[VoroNet, float]:
     """Bulk-load one overlay; returns it plus the build seconds."""
-    config = VoroNetConfig(n_max=4 * len(positions), num_long_links=1,
-                           seed=seed, shard_level=shard_level)
+    config = VoroNetConfig(n_max=4 * len(positions), num_long_links=1, seed=seed)
     overlay = VoroNet(config)
     started = time.perf_counter()
     overlay.bulk_load(positions)
@@ -65,8 +64,9 @@ def _churn_probe(overlay: VoroNet, *, warm_tables: int, churn_events: int,
 
     Warms ``warm_tables`` tables, then alternates one insert+remove churn
     event with a full re-request of the warm pool, counting rebuilds per
-    event.  A global epoch rebuilds the whole pool every event; per-shard
-    epochs rebuild only the tables whose shard the event touched.
+    event.  A global epoch would rebuild every distinct table of the pool
+    every event (``distinct_tables``); per-shard epochs rebuild only the
+    tables whose shard the event touched.
     """
     rng = RandomSource(seed)
     ids = overlay.object_ids()
@@ -85,6 +85,7 @@ def _churn_probe(overlay: VoroNet, *, warm_tables: int, churn_events: int,
         rebuilds += stats.routing_table_rebuilds - before
     return {
         "warm_tables": warm_tables,
+        "distinct_tables": len(set(warm)),
         "churn_events": churn_events,
         "rebuilds": rebuilds,
         "rebuilds_per_event": round(rebuilds / churn_events, 1),
@@ -104,25 +105,24 @@ def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SE
         positions = generate_position_array(UniformDistribution(), size, rng)
         pool = min(warm_tables, max(64, size // 8))
 
-        sharded, seconds_sharded = _build_overlay(positions, seed=seed,
-                                                  shard_level=None)
-        level = sharded.shard_store.level
-        sharded_probe = _churn_probe(sharded, warm_tables=pool,
-                                     churn_events=churn_events, seed=seed + 1)
+        overlay, seconds_bulk = _build_overlay(positions, seed=seed)
+        level = overlay.config.effective_shard_level
+        probe = _churn_probe(overlay, warm_tables=pool,
+                             churn_events=churn_events, seed=seed + 1)
         if size == sizes[-1]:
-            consistency_problems = len(sharded.check_consistency())
-            pairs = generate_routing_pairs(sharded.object_ids(), num_pairs,
+            consistency_problems = len(overlay.check_consistency())
+            pairs = generate_routing_pairs(overlay.object_ids(), num_pairs,
                                            RandomSource(seed + 2))
             started = time.perf_counter()
-            results = sharded.route_many(pairs)
+            results = overlay.route_many(pairs)
             seconds_routing = time.perf_counter() - started
             hops = [r.hops for r in results if r.success]
             headline = {
                 "objects": size,
-                "shard_level": level,
-                "num_shards": sharded.shard_store.num_shards,
-                "seconds_bulk_load": round(seconds_sharded, 2),
-                "objects_per_second": round(size / seconds_sharded),
+                "level": level,
+                "num_shards": 4 ** level,
+                "seconds_bulk_load": round(seconds_bulk, 2),
+                "objects_per_second": round(size / seconds_bulk),
                 "consistency_problems": consistency_problems,
                 "routing": {
                     "pairs": len(pairs),
@@ -132,24 +132,21 @@ def run_shard_scale(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = DEFAULT_SE
                     "failures": len(results) - len(hops),
                 },
             }
-        del sharded
+        del overlay
 
-        flat, seconds_flat = _build_overlay(positions, seed=seed, shard_level=0)
-        flat_probe = _churn_probe(flat, warm_tables=pool,
-                                  churn_events=churn_events, seed=seed + 1)
-        del flat
-
-        reduction = (flat_probe["rebuilds"] / sharded_probe["rebuilds"]
-                     if sharded_probe["rebuilds"] else float(flat_probe["rebuilds"]))
+        # A single global epoch rebuilds every distinct warm table on every
+        # churn event.
+        flat_rebuilds = probe["distinct_tables"] * churn_events
+        reduction = (flat_rebuilds / probe["rebuilds"]
+                     if probe["rebuilds"] else float(flat_rebuilds))
         per_size.append({
             "objects": size,
-            "shard_level": level,
+            "level": level,
             "num_shards": 4 ** level,
-            "seconds_bulk_sharded": round(seconds_sharded, 2),
-            "seconds_bulk_flat": round(seconds_flat, 2),
+            "seconds_bulk_load": round(seconds_bulk, 2),
             "warm_tables": pool,
-            "sharded_rebuilds_per_event": sharded_probe["rebuilds_per_event"],
-            "flat_rebuilds_per_event": flat_probe["rebuilds_per_event"],
+            "sharded_rebuilds_per_event": probe["rebuilds_per_event"],
+            "flat_rebuilds_per_event": float(probe["distinct_tables"]),
             "rebuild_reduction": round(reduction, 1),
         })
 
@@ -168,17 +165,17 @@ def format_shard_scale(record: dict) -> str:
     """Multi-line human rendering of a shard-scale bench record."""
     lines = [
         f"Shard scale @ {record['objects']} objects "
-        f"(level {record['shard_level']}, {record['num_shards']} shards): "
+        f"(level {record['level']}, {record['num_shards']} shards): "
         f"bulk_load {record['seconds_bulk_load']:.0f}s "
         f"({record['objects_per_second']} obj/s), "
         f"routing {record['routing']['routes_per_second']:.0f} routes/s "
         f"(mean {record['routing']['mean_hops']:.1f} hops, "
         f"{record['routing']['failures']} failures)"
     ]
-    lines.append("rebuilds/churn-event (sharded vs flat):")
+    lines.append("rebuilds/churn-event (per-shard vs global epoch):")
     for row in record["per_size"]:
         lines.append(
-            f"  N={row['objects']:>9} level={row['shard_level']}: "
+            f"  N={row['objects']:>9} level={row['level']}: "
             f"{row['sharded_rebuilds_per_event']:>7.1f} vs "
             f"{row['flat_rebuilds_per_event']:>7.1f}  "
             f"({row['rebuild_reduction']:.1f}x fewer)"
@@ -201,8 +198,9 @@ def test_shard_scale_smoke(benchmark, bench_scale):
     assert record["consistency_problems"] == 0
     assert record["routing"]["failures"] == 0
     # The per-shard epochs must beat the global epoch on every probed size
-    # (flat rebuilds the whole warm pool each event; canonical shows >4x at
-    # 62k and >40x at 10^6 — leave headroom for tiny smoke sizes).
+    # (a global epoch rebuilds the whole warm pool each event; canonical
+    # shows >500x at 62k and ~5000x at 10^6 — leave headroom for tiny
+    # smoke sizes).
     for row in record["per_size"]:
         assert row["rebuild_reduction"] >= 1.5, row
 
@@ -210,7 +208,7 @@ def test_shard_scale_smoke(benchmark, bench_scale):
 def main(argv=None) -> int:
     """Entry point of ``python benchmarks/bench_shard_scale.py``."""
     parser = argparse.ArgumentParser(
-        description="Benchmark the Morton-sharded substrate at scale.")
+        description="Benchmark the per-shard routing-table epochs at scale.")
     parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
                         help=f"overlay sizes (default {list(DEFAULT_SIZES)})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -35,7 +35,6 @@ from repro.core.routing import (
     route_to_object,
     route_with_stopping_rule,
 )
-from repro.core.shards import MAX_SHARD_LEVEL, ShardedNodeStore, morton_shard_codes
 from repro.core.stats import OperationStats, OverlayStats
 
 __all__ = [
@@ -65,7 +64,4 @@ __all__ = [
     "segment_query",
     "OperationStats",
     "OverlayStats",
-    "ShardedNodeStore",
-    "morton_shard_codes",
-    "MAX_SHARD_LEVEL",
 ]

@@ -21,17 +21,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-__all__ = ["VoroNetConfig", "DEFAULT_N_MAX", "DEFAULT_SHARD_OCCUPANCY"]
+__all__ = ["VoroNetConfig", "DEFAULT_N_MAX", "SHARD_OCCUPANCY"]
 
 #: Default maximum overlay size used when the caller does not specify one.
 DEFAULT_N_MAX = 100_000
 
-#: Target number of objects per Morton shard when the shard level is
-#: derived from ``n_max`` (see ``VoroNetConfig.effective_shard_level``).
-DEFAULT_SHARD_OCCUPANCY = 512
+#: Target number of objects per shard when the shard level is derived
+#: from ``n_max`` (see ``VoroNetConfig.effective_shard_level``).
+SHARD_OCCUPANCY = 512
 
-#: Deepest supported shard level (kept in sync with repro.core.shards;
-#: duplicated here to avoid an import cycle at config time).
+#: Deepest shard level: a 256 × 256 grid, 65536 routing-table epochs.
 _MAX_SHARD_LEVEL = 8
 
 
@@ -43,8 +42,9 @@ class VoroNetConfig:
     ----------
     n_max:
         Maximum number of objects the overlay is dimensioned for.  Routing
-        is guaranteed poly-logarithmic in this value; ``d_min`` derives from
-        it.
+        is guaranteed poly-logarithmic in this value; ``d_min`` and the
+        shard grid that scopes routing-table invalidation
+        (:attr:`effective_shard_level`) derive from it.
     num_long_links:
         Number of Kleinberg-style long-range links per object (the paper's
         Figure 8 sweeps 1–10; the default, 1, is the basic setting used in
@@ -71,18 +71,6 @@ class VoroNetConfig:
         from their introducer regardless); lookup/query hop counts shrink
         because requests enter near their target.  Disable to model every
         request entering the overlay at a uniformly random peer.
-    shard_level:
-        Morton prefix depth of the sharded node store: the unit square is
-        split into ``4 ** shard_level`` Z-order shards, each carrying its
-        own routing-table epoch, so churn only invalidates tables in the
-        touched shards.  ``0`` is the flat-store baseline (one shard, one
-        epoch — the pre-shard behaviour); ``None`` (default) derives the
-        level from ``n_max`` and ``shard_occupancy``.
-    shard_occupancy:
-        Target objects per shard used when deriving ``shard_level`` from
-        ``n_max``.  Smaller shards mean finer invalidation (less rebuild
-        work per churn event) but more epoch bookkeeping per overlay-wide
-        invalidation; 512 keeps both costs negligible from 10³ to 10⁷.
     track_paths:
         Record full routing paths in :class:`~repro.core.routing.RouteResult`
         objects (memory-heavier; useful for debugging and examples).
@@ -98,8 +86,6 @@ class VoroNetConfig:
     maintain_back_links: bool = True
     allow_overflow: bool = False
     use_locate_index: bool = True
-    shard_level: Optional[int] = None
-    shard_occupancy: int = DEFAULT_SHARD_OCCUPANCY
     track_paths: bool = False
     seed: Optional[int] = None
 
@@ -114,14 +100,6 @@ class VoroNetConfig:
             raise ValueError(
                 f"d_min must lie in (0, sqrt(2)), got {self.d_min}"
             )
-        if self.shard_level is not None and not 0 <= self.shard_level <= _MAX_SHARD_LEVEL:
-            raise ValueError(
-                f"shard_level must lie in [0, {_MAX_SHARD_LEVEL}], got {self.shard_level}"
-            )
-        if self.shard_occupancy < 1:
-            raise ValueError(
-                f"shard_occupancy must be >= 1, got {self.shard_occupancy}"
-            )
 
     @property
     def effective_d_min(self) -> float:
@@ -132,18 +110,18 @@ class VoroNetConfig:
 
     @property
     def effective_shard_level(self) -> int:
-        """The Morton shard level actually used by the overlay's node store.
+        """Depth of the overlay's shard grid (``4 ** level`` epochs).
 
-        Explicit ``shard_level`` wins; otherwise the smallest level whose
-        ``4 ** level`` shards keep the *dimensioned* population
-        (``n_max``) at or under ``shard_occupancy`` objects per shard.
-        Small overlays (``n_max <= shard_occupancy``) derive level 0 — a
-        single shard, behaviourally identical to the pre-shard global
-        epoch — so sharding never perturbs unit-scale experiments.
+        The unit square is split into a ``2 ** level`` square grid whose
+        cells each carry their own routing-table epoch, so churn only
+        invalidates tables in the touched cells.  The level is the
+        smallest whose cells keep the *dimensioned* population
+        (``n_max``) at or under ``SHARD_OCCUPANCY`` (512) objects per
+        cell, capped at 8.  Small overlays (``n_max`` under twice the
+        occupancy) derive level 0 — one cell, one global epoch — so
+        sharding never perturbs unit-scale experiments.
         """
-        if self.shard_level is not None:
-            return self.shard_level
-        target_shards = self.n_max // self.shard_occupancy
+        target_shards = self.n_max // SHARD_OCCUPANCY
         level = 0
         while (1 << (2 * level)) < target_shards and level < _MAX_SHARD_LEVEL:
             level += 1

@@ -30,29 +30,32 @@ variant (with long links / Delaunay-only), a candidate-id array aligned
 with a ``(k, 2)`` position array, equal at all times to the freshly
 assembled :attr:`NeighborView.routing_neighbors` of that object.  Tables
 are built lazily by :meth:`VoroNet.routing_table` and invalidated by
-**per-shard epochs**: the substrate is a Morton-range
-:class:`~repro.core.shards.ShardedNodeStore`, every cached entry records
-the epoch of its object's shard at build time, and a mutation bumps only
-the shards of the objects whose forwarding candidates it changed —
-:meth:`insert`, :meth:`remove`, long-link establishment/churn
-(:meth:`reset_long_links`) and the maintenance procedures
-(close-neighbour registration, back-link hand-over, long-link
-re-delegation) all pass their affected-id sets to
+**per-shard epochs**.  A shard is one cell of a ``2^L × 2^L`` grid over
+the unit square, with ``L`` derived from ``n_max``
+(:attr:`~repro.core.config.VoroNetConfig.effective_shard_level`), and
+cells are numbered row-major (``ix * side + iy``).  An object's position
+never changes while it lives, so its shard is computed from
+``node.position`` wherever it is needed; the overlay keeps nothing but
+the ``4^L`` epoch list.  Every cached entry records the epoch of its
+object's shard at build time, and a mutation bumps only the shards of the
+objects whose forwarding candidates it changed — :meth:`insert`,
+:meth:`remove`, long-link establishment/churn (:meth:`reset_long_links`)
+and the maintenance procedures (close-neighbour registration, back-link
+hand-over, long-link re-delegation) all pass their affected-id sets to
 :meth:`invalidate_routing_tables`, so churn rebuild work scales with
 shard occupancy instead of overlay size.  Overlay-wide events
 (:meth:`bulk_load`, crash injection, external view surgery) call
 :meth:`invalidate_routing_tables` with no arguments, which bumps every
 shard; :attr:`VoroNet.topology_epoch` remains a monotone generation
 counter of invalidation events (bumped exactly once per call) for
-observers that only need "did anything change".  Code that mutates
-:class:`~repro.core.node.ObjectNode` view state outside those entry points
-MUST call :meth:`invalidate_routing_tables` afterwards — with the touched
-object ids when it knows them, bare otherwise — or cached tables go
-stale; the shared kernel, :class:`LocateGrid` and the sharded store are
-kept exactly in sync by the same entry points.  Cache hits never change
-results: the parity tests route against a per-hop view assembly kept in
-the test suite, and ``shard_level=0`` (one shard) reproduces the
-historical global-epoch behaviour exactly.
+observers that only need "did anything change".
+:meth:`invalidate_routing_tables` is the only way to bump an epoch: code
+that mutates :class:`~repro.core.node.ObjectNode` view state outside the
+entry points above MUST call it afterwards — with the touched object ids
+when it knows them, bare otherwise — or cached tables go stale; the
+shared kernel and :class:`LocateGrid` are kept exactly in sync by the
+same entry points.  Cache hits never change results: the parity tests
+route against a per-hop view assembly kept in the test suite.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from repro.core.neighbors import NeighborView
 from repro.core.node import ObjectNode
 from repro.core.routing import (RouteResult, greedy_route, missed_route,
                                 route_to_object)
-from repro.core.shards import ShardedNodeStore
 from repro.core.stats import OverlayStats
 from repro.geometry.bounding import UNIT_SQUARE, BoundingBox
 from repro.geometry.delaunay import DelaunayTriangulation, DuplicatePointError
@@ -132,10 +134,11 @@ class VoroNet:
         self._next_id = 0
         self._join_counter = itertools.count()
         self._stats = OverlayStats()
-        # Morton-sharded struct-of-arrays substrate: per-shard id/position
-        # blocks plus the per-shard epoch list that scopes routing-table
-        # invalidation (see the module docstring).
-        self._store = ShardedNodeStore(config.effective_shard_level)
+        # One routing-table epoch per cell of the shard grid (see the
+        # module docstring); mutated in place, never replaced, so the
+        # routing hot loop can hoist it across a whole route.
+        self._shard_side = 1 << config.effective_shard_level
+        self._epochs: List[int] = [0] * (self._shard_side * self._shard_side)
         # Epoch-invalidated flat routing tables (see the module docstring):
         # one dict per variant (with long links / Delaunay-only), each
         # object_id → [shard epoch at build, candidate ids | None,
@@ -234,27 +237,33 @@ class VoroNet:
         call — insert/remove/bulk load, long-link churn and the
         maintenance procedures all flow through it — so "did anything
         change" observers keep working.  Cache *validity* is finer: each
-        routing entry is checked against the epoch of its object's shard
-        (:attr:`shard_store`), which targeted invalidation bumps only for
-        the touched shards.
+        routing entry is checked against the epoch of its object's shard,
+        which targeted invalidation bumps only for the touched shards.
         """
         return self._topology_epoch
 
-    @property
-    def shard_store(self) -> ShardedNodeStore:
-        """The Morton-sharded id/position store and its per-shard epochs."""
-        return self._store
+    def _shard_of(self, position: Point) -> int:
+        """Row-major shard cell of a position of the unit square.
+
+        ``x == 1.0`` (or ``y``) lands in the last cell instead of
+        overflowing the grid.
+        """
+        side = self._shard_side
+        last = side - 1
+        return (min(int(position[0] * side), last) * side
+                + min(int(position[1] * side), last))
 
     def invalidate_routing_tables(self,
                                   object_ids: Optional[Iterable[int]] = None) -> None:
         """Invalidate cached routing tables, lazily, by bumping shard epochs.
 
         With ``object_ids`` given, only the shards holding those objects
-        are bumped — the targeted form every churn-local mutation path
-        uses, which is what keeps rebuild work proportional to shard
-        occupancy.  Without arguments every shard is bumped (overlay-wide
-        invalidation).  Either way the :attr:`topology_epoch` generation
-        counter advances exactly once.
+        are bumped, each once — the targeted form every churn-local
+        mutation path uses, which is what keeps rebuild work proportional
+        to shard occupancy.  Ids no longer published (just-departed
+        objects) are skipped.  Without arguments every shard is bumped
+        (overlay-wide invalidation).  Either way the
+        :attr:`topology_epoch` generation counter advances exactly once.
 
         The overlay's own mutation entry points call this; external code
         that mutates per-object view state directly (tests, protocol
@@ -263,10 +272,15 @@ class VoroNet:
         damage is overlay-wide or unknown.
         """
         self._topology_epoch += 1
+        epochs = self._epochs
         if object_ids is None:
-            self._store.bump_all()
+            shards: Iterable[int] = range(len(epochs))
         else:
-            self._store.bump_object_ids(object_ids)
+            nodes = self._nodes
+            shards = sorted({self._shard_of(nodes[object_id].position)
+                             for object_id in object_ids if object_id in nodes})
+        for shard in shards:
+            epochs[shard] += 1
 
     def routing_table(self, object_id: int,
                       use_long_links: bool = True) -> Tuple[np.ndarray, np.ndarray]:
@@ -295,7 +309,7 @@ class VoroNet:
         """The cached routing entry of one object, rebuilt (and counted in
         ``routing_table_rebuilds``) when its shard's epoch has moved."""
         entry = self._routing_tables[use_long_links].get(object_id)
-        epochs = self._store.epochs
+        epochs = self._epochs
         if entry is not None and entry[0] == epochs[entry[4]]:
             return entry
         self._stats.routing_table_rebuilds += 1
@@ -312,7 +326,7 @@ class VoroNet:
             # A view referencing a departed object (e.g. crash damage before
             # repair) fails like any lookup of a departed object.
             raise ObjectNotFoundError(exc.args[0]) from None
-        shard = self._store.shard_of(object_id)
+        shard = self._shard_of(node.position)
         entry = [epochs[shard], None, None, block, shard]
         self._routing_tables[use_long_links][object_id] = entry
         return entry
@@ -473,7 +487,6 @@ class VoroNet:
         # failed insert must never burn (and permanently skip) an auto id.
         self._next_id = max(self._next_id, object_id + 1)
         self._locate_index.insert(object_id, position)
-        self._store.insert(object_id, position)
         # The carve changed adjacency only inside the new region's star:
         # the new object and its Voronoi neighbours (every destroyed or
         # created Delaunay edge has both endpoints there).
@@ -570,7 +583,6 @@ class VoroNet:
         self._triangulation.remove(object_id)
         del self._nodes[object_id]
         self._locate_index.discard(object_id)
-        self._store.discard(object_id)
         self._routing_tables[True].pop(object_id, None)
         self._routing_tables[False].pop(object_id, None)
         self.invalidate_routing_tables(ex_neighbors)
@@ -736,7 +748,6 @@ class VoroNet:
                 join_order=next(self._join_counter),
             )
         self._locate_index.bulk_insert(zip(ids, batch))
-        self._store.bulk_insert(ids, batch)
         self._next_id = ids[-1] + 1
         # A batch lands everywhere at once; overlay-wide invalidation is
         # the honest scope (and a no-op cost: tables are built lazily).
@@ -824,25 +835,6 @@ class VoroNet:
             self._triangulation.validate()
         except Exception as exc:  # pragma: no cover - defensive
             problems.append(f"triangulation invalid: {exc}")
-        problems.extend(self._store_consistency_report())
-        return problems
-
-    def _store_consistency_report(self) -> List[str]:
-        """Check the sharded store mirrors the node membership exactly."""
-        problems: List[str] = []
-        store = self._store
-        if len(store) != len(self._nodes):
-            problems.append(
-                f"shard store holds {len(store)} objects, overlay {len(self._nodes)}")
-        for object_id, node in self._nodes.items():
-            if object_id not in store:
-                problems.append(f"{object_id}: missing from the shard store")
-                continue
-            expected = store.shard_of_point(node.position[0], node.position[1])
-            if store.shard_of(object_id) != expected:
-                problems.append(
-                    f"{object_id}: stored in shard {store.shard_of(object_id)}, "
-                    f"position maps to {expected}")
         return problems
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -174,7 +174,7 @@ def greedy_route(overlay: "VoroNet", source: int, target: Point, *,
     # dict.get, one list index and one int compare, with no method-call or
     # key-tuple overhead.
     tables = overlay._routing_tables[use_long_links]
-    epochs = overlay._store.epochs
+    epochs = overlay._epochs
     build_entry = overlay._routing_entry
     while True:
         entry = tables.get(current)

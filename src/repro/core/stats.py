@@ -62,10 +62,9 @@ class OverlayStats:
     """All per-overlay statistics, grouped by operation type.
 
     ``routing_table_rebuilds`` counts how many per-object flat routing
-    tables were (re)built after a topology-epoch bump — the measurable
-    baseline for the ROADMAP's per-shard-epoch follow-up: a global epoch
-    invalidates every table on any churn, and this counter is exactly the
-    rebuild work that coarse invalidation causes.
+    tables were (re)built, first builds included: a table is rebuilt when
+    an epoch bump of its object's shard invalidated it, so this counter
+    is exactly the rebuild work the invalidation scheme causes.
 
     ``operation_timeouts`` / ``operation_retries`` count watchdog expiries
     and the retries they triggered on multi-message operations (join,

@@ -130,11 +130,9 @@ class LintConfig:
         "set_long_link", "retarget_long_link",
         "add_close_neighbor", "discard_close_neighbor",
     })
-    #: Calls that discharge the per-shard epoch contract (SIM006):
-    #: the overlay entry point, or the sharded store's bump primitives.
-    epoch_bump_calls: FrozenSet[str] = frozenset({
-        "invalidate_routing_tables", "bump_object_ids", "bump_all",
-    })
+    #: Calls that discharge the per-shard epoch contract (SIM006): the
+    #: overlay entry point, the only call that bumps an epoch.
+    epoch_bump_calls: FrozenSet[str] = frozenset({"invalidate_routing_tables"})
     #: Class definitions SIM005 reads counter fields from.
     stats_classes: Tuple[str, ...] = ("OverlayStats", "OperationStats")
     #: Attribute names treated as "the stats object" in write sites.

@@ -40,13 +40,13 @@ SIM005 stats-accounting
     creates a fresh attribute and the intended one stays zero.
 
 SIM006 shard-epoch-contract
-    The oracle plane's counterpart of SIM001, for the per-shard epoch
-    scheme of :mod:`repro.core.shards`: any function under ``repro/core``
-    that mutates another node's routing-relevant containers
-    (``long_links`` / ``close_neighbors`` — directly or via the
-    ``ObjectNode`` mutator methods) must be followed, on every mutating
-    path, by ``invalidate_routing_tables(...)`` or a direct store bump
-    (``bump_object_ids`` / ``bump_all``).  Back-link churn is exempt
+    The oracle plane's counterpart of SIM001, for the per-shard
+    routing-table epochs of :class:`repro.core.overlay.VoroNet`: any
+    function under ``repro/core`` that mutates another node's
+    routing-relevant containers (``long_links`` / ``close_neighbors`` —
+    directly or via the ``ObjectNode`` mutator methods) must be followed,
+    on every mutating path, by ``invalidate_routing_tables(...)``, the
+    only call that bumps an epoch.  Back-link churn is exempt
     (``BLRn`` is not routed on), as are the primitive mutator bodies on
     ``ObjectNode`` itself (bare-``self`` receivers) — they cannot reach
     the overlay, so the contract binds their call sites.
@@ -384,9 +384,9 @@ class ShardEpochContractRule(Rule):
                     col=node.col_offset + 1, rule=self.code,
                     message=(f"{fn.name!r} mutates routing-relevant "
                              f"{attr!r} without a following "
-                             f"invalidate_routing_tables()/per-shard epoch "
-                             f"bump on this path — cached routing tables "
-                             f"in the touched shards go stale"))
+                             f"invalidate_routing_tables() on this path — "
+                             f"cached routing tables in the touched shards "
+                             f"go stale"))
 
 
 # ----------------------------------------------------------------------

@@ -255,18 +255,16 @@ class CrashInjector:  # simlint: ignore[SIM003] — one per experiment, not per 
         overlay = self._overlay
         overlay.triangulation.remove(object_id)
         del overlay._nodes[object_id]  # noqa: SLF001 - deliberate fault injection
-        # The *substrate* state (tessellation, locate grid, shard store,
-        # caches) is repaired — only the protocol-level hand-overs are
-        # skipped.  Per the overlay's epoch contract, direct mutation must
-        # invalidate the routing tables, or survivors would greedily
-        # forward to crashed ids; likewise the grid and the sharded store
-        # must drop the id or lookups would enter the overlay at a dead
-        # peer.  The invalidation is overlay-wide (bare call): any
+        # The *substrate* state (tessellation, locate grid, caches) is
+        # repaired — only the protocol-level hand-overs are skipped.  Per
+        # the overlay's epoch contract, direct mutation must invalidate
+        # the routing tables, or survivors would greedily forward to
+        # crashed ids; likewise the grid must drop the id or lookups
+        # would enter the overlay at a dead peer.  The invalidation is overlay-wide (bare call): any
         # survivor, anywhere, may hold a long link at the victim, and a
         # crash by definition runs none of the hand-overs that would
         # enumerate them.
         overlay.locate_index.discard(object_id)
-        overlay.shard_store.discard(object_id)
         overlay.invalidate_routing_tables()
         self._crashed.append(object_id)
 

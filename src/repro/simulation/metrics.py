@@ -92,20 +92,6 @@ class MetricsRegistry:
         return histogram.summary() if histogram else _Histogram().summary()
 
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s counters and observations into this registry.
-
-        Sweep aggregation: each fuzz schedule runs against a fresh
-        simulator (and therefore a fresh registry); the sweep driver
-        merges them so retry/timeout totals can be reported across the
-        whole campaign.  Counters add; histogram observations concatenate.
-        """
-        for name, value in other._counters.items():
-            self.increment(name, value)
-        for name, histogram in other._histograms.items():
-            self.observe_many(name, histogram.values)
-
-    # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Dict]:
         """Serialise the whole registry (counters + histogram summaries)."""
         return {

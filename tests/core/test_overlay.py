@@ -241,8 +241,8 @@ class TestExportsAndStats:
         assert len(lines) == 9
 
     def test_routing_table_rebuilds_counted_per_epoch_bump(self):
-        """The rebuild counter measures exactly the work a topology-epoch
-        bump causes — the baseline for the per-shard-epoch follow-up."""
+        """The rebuild counter measures exactly the work an epoch bump
+        causes: a bare invalidation rebuilds every table re-read."""
         overlay = VoroNet(n_max=128, seed=3)
         rng = np.random.default_rng(3)
         ids = [overlay.insert(tuple(rng.random(2))) for _ in range(20)]

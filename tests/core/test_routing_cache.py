@@ -7,8 +7,8 @@ Three layers of protection for the routing hot path:
   table equals a freshly assembled view (the module-level contract of
   :mod:`repro.core.overlay`);
 * a churn stress test at N≈500 keeping ``lookup`` / ``route`` answers
-  identical to a per-hop view-assembly reference (kept here, in the test
-  suite) through alternating insert/remove/link-reset bursts
+  identical to a per-hop view-assembly reference (the ``routing_reference``
+  fixture of this directory's ``conftest.py``) through alternating insert/remove/link-reset bursts
   (locate-grid and table invalidation under churn);
 * direct parity regressions against the same reference for ``route`` /
   ``route_many`` / ``lookup_many`` and the Algorithm 5 stopping rule.
@@ -23,37 +23,22 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import VoroNet, VoroNetConfig
 from repro.core.errors import DuplicateObjectError
 from repro.core.routing import route_with_stopping_rule
-from repro.geometry.point import distance, distance_sq
 from repro.utils.rng import RandomSource
 from repro.workloads.generators import generate_routing_pairs
 
 
-def fresh_routing_sets(overlay, object_id):
-    """Ground truth: forwarding candidates assembled from a fresh view."""
-    view = overlay.neighbor_view(object_id)
-    with_links = view.routing_neighbors
-    delaunay_only = set(view.voronoi) | set(view.close)
-    delaunay_only.discard(object_id)
-    return with_links, delaunay_only
-
-
-def assert_tables_match_views(overlay):
-    """Every cached table equals the freshly assembled view of its object."""
-    for object_id in overlay.object_ids():
-        with_links, delaunay_only = fresh_routing_sets(overlay, object_id)
-        for use_long_links, expected in ((True, with_links),
-                                         (False, delaunay_only)):
-            ids, positions = overlay.routing_table(object_id, use_long_links)
-            assert set(int(i) for i in ids) == expected
-            assert positions.shape == (len(ids), 2)
-            for row, candidate in enumerate(ids):
-                assert tuple(positions[row]) == \
-                    overlay.position_of(int(candidate))
+@pytest.fixture(autouse=True)
+def _bind_machine_reference(routing_reference):
+    """Hand the shared reference to the stateful machine (Hypothesis
+    builds its instances, so they cannot request fixtures themselves)."""
+    RoutingCacheMachine.reference = routing_reference
 
 
 class RoutingCacheMachine(RuleBasedStateMachine):
     """Arbitrary interleavings of topology mutations never leave a cached
     routing table out of sync with the fresh ``NeighborView``."""
+
+    reference = None
 
     def __init__(self):
         super().__init__()
@@ -98,7 +83,7 @@ class RoutingCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def tables_equal_fresh_views(self):
-        assert_tables_match_views(self.overlay)
+        self.reference.assert_tables_match_views(self.overlay)
 
 
 TestRoutingCacheStateful = RoutingCacheMachine.TestCase
@@ -106,55 +91,8 @@ TestRoutingCacheStateful.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None)
 
 
-def _reference_step(overlay, current, target, use_long_links=True):
-    """Greedy step by per-hop view assembly: a sorted scan over a fresh
-    ``NeighborView``, forwarding only on a strictly smaller distance."""
-    with_links, delaunay_only = fresh_routing_sets(overlay, current)
-    best = None
-    best_d = distance_sq(overlay.position_of(current), target)
-    for neighbor in sorted(with_links if use_long_links else delaunay_only):
-        d = distance_sq(overlay.position_of(neighbor), target)
-        if d < best_d:
-            best, best_d = neighbor, d
-    return best
-
-
-def reference_route(overlay, source, target, use_long_links=True):
-    """``(owner, hops)`` of greedy routing by per-hop view assembly."""
-    target = (float(target[0]), float(target[1]))
-    current, hops = source, 0
-    while True:
-        nxt = _reference_step(overlay, current, target, use_long_links)
-        if nxt is None:
-            return current, hops
-        current, hops = nxt, hops + 1
-
-
-def reference_stopping_rule(overlay, source, target):
-    """``(owner, hops)`` of the Algorithm 5 stopping rule, same reference."""
-    target = (float(target[0]), float(target[1]))
-    d_min = overlay.config.effective_d_min
-    current, hops = source, 0
-    while True:
-        current_distance = distance(overlay.position_of(current), target)
-        if current_distance <= d_min:
-            return current, hops
-        if overlay.distance_to_region(current, target) <= current_distance / 3.0:
-            return current, hops
-        nxt = _reference_step(overlay, current, target)
-        if nxt is None:
-            return current, hops
-        current, hops = nxt, hops + 1
-
-
-def assert_matches_reference(result, overlay, target, use_long_links=True):
-    owner, hops = reference_route(overlay, result.source, target,
-                                  use_long_links)
-    assert (result.owner, result.hops) == (owner, hops)
-
-
 class TestChurnStress:
-    def test_churn_bursts_keep_answers_identical(self):
+    def test_churn_bursts_keep_answers_identical(self, routing_reference):
         """Alternating insert/remove/link-churn bursts at N≈500: owner_of,
         lookup and route answer exactly as the per-hop view-assembly
         reference does, and the locate grid stays exactly in sync."""
@@ -188,22 +126,24 @@ class TestChurnStress:
                 point = tuple(point)
                 lookup = overlay.lookup(point)
                 assert overlay.owner_of(point) == lookup.owner
-                assert_matches_reference(lookup, overlay, point)
+                routing_reference.assert_matches_reference(lookup, overlay,
+                                                           point)
             for a, b in [probe_rng.choice(ids, size=2, replace=False)
                          for _ in range(30)]:
                 route = overlay.route(int(a), int(b))
-                assert_matches_reference(route, overlay,
-                                         overlay.position_of(int(b)))
+                routing_reference.assert_matches_reference(
+                    route, overlay, overlay.position_of(int(b)))
             # … including the join-time Algorithm 5 stopping rule.
             for source, point in zip(probe_rng.choice(ids, size=10),
                                      probe_rng.random((10, 2))):
                 early = route_with_stopping_rule(overlay, int(source),
                                                  tuple(point))
-                assert (early.owner, early.hops) == reference_stopping_rule(
-                    overlay, int(source), tuple(point))
+                assert (early.owner, early.hops) == \
+                    routing_reference.reference_stopping_rule(
+                        overlay, int(source), tuple(point))
 
         assert overlay.check_consistency() == []
-        assert_tables_match_views(overlay)
+        routing_reference.assert_tables_match_views(overlay)
 
 
 class TestCacheParity:
@@ -217,30 +157,30 @@ class TestCacheParity:
         return overlay
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_parity(self, overlay, use_long_links):
+    def test_route_parity(self, overlay, use_long_links, routing_reference):
         ids = overlay.object_ids()
         rng = np.random.default_rng(5)
         for a, b in [rng.choice(ids, size=2, replace=False) for _ in range(40)]:
             route = overlay.route(int(a), int(b), use_long_links=use_long_links)
-            assert_matches_reference(route, overlay,
-                                     overlay.position_of(int(b)),
-                                     use_long_links)
+            routing_reference.assert_matches_reference(
+                route, overlay, overlay.position_of(int(b)), use_long_links)
 
     @pytest.mark.parametrize("use_long_links", [True, False])
-    def test_route_many_parity(self, overlay, use_long_links):
+    def test_route_many_parity(self, overlay, use_long_links, routing_reference):
         pairs = list(generate_routing_pairs(
             overlay.object_ids(), 60, RandomSource(6)))
         results = overlay.route_many(pairs, use_long_links=use_long_links)
         assert [(r.owner, r.hops) for r in results] == [
-            reference_route(overlay, a, overlay.position_of(b), use_long_links)
+            routing_reference.reference_route(overlay, a, overlay.position_of(b),
+                                              use_long_links)
             for a, b in pairs]
 
-    def test_lookup_many_parity(self, overlay):
+    def test_lookup_many_parity(self, overlay, routing_reference):
         points = [tuple(p) for p in np.random.default_rng(7).random((60, 2))]
         for result, point in zip(overlay.lookup_many(points), points):
-            assert_matches_reference(result, overlay, point)
+            routing_reference.assert_matches_reference(result, overlay, point)
 
-    def test_stopping_rule_parity(self, overlay):
+    def test_stopping_rule_parity(self, overlay, routing_reference):
         """The Algorithm 5 stopping rule fires at the same hop as the
         reference's."""
         ids = overlay.object_ids()
@@ -250,7 +190,7 @@ class TestCacheParity:
             target = tuple(rng.random(2))
             early = route_with_stopping_rule(overlay, source, target)
             assert (early.owner, early.hops) == \
-                reference_stopping_rule(overlay, source, target)
+                routing_reference.reference_stopping_rule(overlay, source, target)
 
 
 class TestEpochContract:
@@ -288,7 +228,7 @@ class TestEpochContract:
         table_ids, _ = overlay.routing_table(ids[0])
         assert ids[2] in set(int(i) for i in table_ids)
 
-    def test_removed_object_leaves_no_table_behind(self):
+    def test_removed_object_leaves_no_table_behind(self, routing_reference):
         overlay = VoroNet(VoroNetConfig(n_max=64, seed=11))
         ids = overlay.bulk_load([(0.1, 0.1), (0.9, 0.1), (0.5, 0.9), (0.5, 0.4)])
         for object_id in ids:
@@ -296,7 +236,7 @@ class TestEpochContract:
         overlay.remove(ids[0])
         assert not any(ids[0] in variant
                        for variant in overlay._routing_tables.values())
-        assert_tables_match_views(overlay)
+        routing_reference.assert_tables_match_views(overlay)
 
     def test_warm_routes_rebuild_nothing(self):
         """Once every table a batch touches is built, re-routing the batch

@@ -1,18 +1,25 @@
-"""Tests of the Morton-sharded node store and its per-shard epochs.
+"""Tests of the overlay's per-shard routing-table epochs.
 
-Four layers:
+A shard is one cell of a ``2^L × 2^L`` grid over the unit square, with
+``L`` derived from ``n_max`` and cells numbered row-major; the overlay
+keeps one epoch per cell and computes an object's cell from its
+position.  Four layers:
 
-* unit tests of :class:`ShardedNodeStore` (Morton codes, swap-remove,
-  locators, epoch bump semantics, range partitioning);
+* **epoch semantics** — a targeted invalidation bumps exactly the cells
+  of the live ids it names, once each, and skips departed ids; a bare
+  call bumps every cell; the epoch list is mutated in place;
 * **sharded vs flat equivalence** — twin overlays differing only in
-  ``shard_level`` answer byte-identically (owners, hops, views) through
-  churn: sharding changes *when tables rebuild*, never what they contain;
+  shard level answer identically (owners, hops, views) through churn,
+  and both equal the per-hop view-assembly reference (the
+  ``routing_reference`` fixture): sharding changes *when tables
+  rebuild*, never what they contain;
 * **per-shard invalidation** — churn inside one shard leaves warm tables
   of a distant shard untouched (``routing_table_rebuilds`` stays flat),
-  while the flat-store baseline rebuilds all of them;
+  while a single global epoch (level 0) rebuilds all of them;
 * a Hypothesis suite hammering shard-*boundary* inserts/removes (points
-  on and around the 2^level grid lines, where clamping and code
-  assignment could disagree).
+  on and around the grid lines, where clamping and cell assignment could
+  disagree), checking every cached entry's shard against the cell of its
+  object's position.
 """
 
 import numpy as np
@@ -21,156 +28,109 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import VoroNet, VoroNetConfig
-from repro.core.shards import MAX_SHARD_LEVEL, ShardedNodeStore, morton_shard_codes
 
 
-class TestMortonCodes:
-    def test_level_zero_is_single_shard(self):
-        store = ShardedNodeStore(0)
-        assert store.num_shards == 1
-        assert store.shard_of_point(0.0, 0.0) == 0
-        assert store.shard_of_point(1.0, 1.0) == 0
-        points = np.random.default_rng(1).random((50, 2))
-        assert np.all(morton_shard_codes(points, 0) == 0)
-
-    def test_z_order_of_level_one_quadrants(self):
-        store = ShardedNodeStore(1)
-        # Z-order: (x<.5,y<.5)=0, (x>=.5,y<.5)=1, (x<.5,y>=.5)=2, else 3.
-        assert store.shard_of_point(0.1, 0.1) == 0
-        assert store.shard_of_point(0.9, 0.1) == 1
-        assert store.shard_of_point(0.1, 0.9) == 2
-        assert store.shard_of_point(0.9, 0.9) == 3
-
-    @pytest.mark.parametrize("level", [1, 2, 4, 7, MAX_SHARD_LEVEL])
-    def test_vectorised_codes_match_scalar(self, level):
-        store = ShardedNodeStore(level)
-        rng = np.random.default_rng(level)
-        points = rng.random((500, 2))
-        codes = morton_shard_codes(points, level)
-        assert codes.min() >= 0 and codes.max() < store.num_shards
-        for point, code in zip(points, codes):
-            assert store.shard_of_point(point[0], point[1]) == code
-
-    def test_boundary_points_clamp_into_grid(self):
-        level = 3
-        store = ShardedNodeStore(level)
-        side = 1 << level
-        edges = [0.0, 1.0, 1.0 / side, 0.5, (side - 1) / side]
-        points = np.array([(x, y) for x in edges for y in edges])
-        codes = morton_shard_codes(points, level)
-        assert codes.min() >= 0 and codes.max() < store.num_shards
-        for point, code in zip(points, codes):
-            assert store.shard_of_point(point[0], point[1]) == code
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedNodeStore(-1)
-        with pytest.raises(ValueError):
-            ShardedNodeStore(MAX_SHARD_LEVEL + 1)
+def _cell(position, level):
+    """Row-major grid cell of a position, computed independently of the
+    overlay (``x == 1.0`` clamps into the last column)."""
+    side = 1 << level
+    ix = min(int(position[0] * side), side - 1)
+    iy = min(int(position[1] * side), side - 1)
+    return ix * side + iy
 
 
-class TestStoreMembership:
-    def test_insert_discard_roundtrip(self):
-        store = ShardedNodeStore(2)
-        shard = store.insert(7, (0.1, 0.1))
-        assert 7 in store and len(store) == 1
-        assert store.shard_of(7) == shard == store.shard_of_point(0.1, 0.1)
-        assert store.discard(7) == shard
-        assert 7 not in store and len(store) == 0
-        assert store.discard(7) is None
+def _assert_entry_shards_match_cells(overlay):
+    """Warm every table, then check each cached entry's shard index is the
+    cell of its object's position and its recorded epoch is current."""
+    level = overlay.config.effective_shard_level
+    for object_id in overlay.object_ids():
+        overlay.routing_table(object_id, True)
+        overlay.routing_table(object_id, False)
+    for variant in overlay._routing_tables.values():
+        assert set(variant) == set(overlay.object_ids())
+        for object_id, entry in variant.items():
+            assert entry[4] == _cell(overlay.position_of(object_id), level)
+            assert entry[0] == overlay._epochs[entry[4]]
 
-    def test_duplicate_insert_rejected(self):
-        store = ShardedNodeStore(1)
-        store.insert(1, (0.2, 0.2))
-        with pytest.raises(ValueError):
-            store.insert(1, (0.8, 0.8))
 
-    def test_swap_remove_keeps_locators_valid(self):
-        store = ShardedNodeStore(1)
-        # Five objects in the same quadrant: removing from the middle
-        # swap-moves the last slot and must re-point its locator.
-        for object_id in range(5):
-            store.insert(object_id, (0.1 + 0.01 * object_id, 0.1))
-        store.discard(1)
-        assert 1 not in store
-        for object_id in (0, 2, 3, 4):
-            shard = store.shard_of(object_id)
-            slot_ids = store.shard_ids(shard)
-            assert object_id in set(slot_ids.tolist())
-        positions = store.shard_positions(store.shard_of_point(0.1, 0.1))
-        assert positions.shape == (4, 2)
+class TestShardLevel:
+    @pytest.mark.parametrize("n_max, level", [
+        (1, 0), (1023, 0), (1024, 1), (4096, 2), (16384, 3), (10**9, 8)])
+    def test_level_derives_from_n_max(self, n_max, level):
+        assert VoroNetConfig(n_max=n_max).effective_shard_level == level
+        overlay = VoroNet(VoroNetConfig(n_max=n_max))
+        assert len(overlay._epochs) == 4 ** level
 
-    def test_bulk_insert_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        points = rng.random((200, 2))
-        bulk = ShardedNodeStore(3)
-        bulk.bulk_insert(list(range(200)), points)
-        sequential = ShardedNodeStore(3)
-        for object_id, point in enumerate(points):
-            sequential.insert(object_id, tuple(point))
-        assert len(bulk) == len(sequential) == 200
-        for object_id in range(200):
-            assert bulk.shard_of(object_id) == sequential.shard_of(object_id)
-        assert bulk.occupancies() == sequential.occupancies()
 
-    def test_shard_blocks_align_ids_and_positions(self):
-        store = ShardedNodeStore(2)
-        rng = np.random.default_rng(4)
-        points = rng.random((64, 2))
-        store.bulk_insert(list(range(100, 164)), points)
-        for shard in range(store.num_shards):
-            ids = store.shard_ids(shard)
-            positions = store.shard_positions(shard)
-            assert len(ids) == len(positions) == store.shard_count(shard)
-            for object_id, position in zip(ids.tolist(), positions):
-                assert tuple(position) == tuple(points[object_id - 100])
+def _two_cell_overlay():
+    """Level-2 overlay (n_max 4096, 16 cells) with objects in opposite
+    corner cells: ids[0] at (0.1, 0.1) is cell 0, ids[1] at (0.9, 0.9) is
+    cell 15."""
+    overlay = VoroNet(VoroNetConfig(n_max=4096, seed=41))
+    ids = overlay.bulk_load([(0.1, 0.1), (0.9, 0.9), (0.1, 0.9), (0.9, 0.1),
+                             (0.55, 0.45)])
+    assert overlay.config.effective_shard_level == 2
+    return overlay, ids
 
 
 class TestEpochSemantics:
     def test_epoch_list_is_mutated_in_place(self):
-        """Hot loops hoist `store.epochs` once; bumps must stay visible."""
-        store = ShardedNodeStore(2)
-        hoisted = store.epochs
-        store.insert(1, (0.1, 0.1))
-        store.bump_object_ids([1])
-        assert hoisted is store.epochs
-        assert hoisted[store.shard_of(1)] == 1
-        store.bump_all()
-        assert hoisted is store.epochs
-        assert all(epoch >= 1 for epoch in hoisted)
+        """The routing loop hoists the epoch list once; bumps must stay
+        visible through that reference."""
+        overlay, ids = _two_cell_overlay()
+        hoisted = overlay._epochs
+        before = list(hoisted)
+        overlay.invalidate_routing_tables([ids[0]])
+        assert hoisted is overlay._epochs
+        assert hoisted[0] == before[0] + 1
+        overlay.invalidate_routing_tables()
+        assert hoisted is overlay._epochs
+        assert hoisted[0] == before[0] + 2
 
     def test_targeted_bump_touches_only_holding_shards(self):
-        store = ShardedNodeStore(1)
-        store.insert(1, (0.1, 0.1))  # shard 0
-        store.insert(2, (0.9, 0.9))  # shard 3
-        assert store.bump_object_ids([1]) == 1
-        assert store.epochs == [1, 0, 0, 0]
-        # Absent ids are skipped; present ones bump their shard once each.
-        assert store.bump_object_ids([2, 2, 99]) == 1
-        assert store.epochs == [1, 0, 0, 1]
+        overlay, ids = _two_cell_overlay()
+        before = list(overlay._epochs)
+        overlay.invalidate_routing_tables([ids[0]])
+        expected = list(before)
+        expected[0] += 1
+        assert overlay._epochs == expected
+        # A live id bumps its cell once however often it is named; a
+        # departed id is skipped.
+        departed = ids[4]
+        overlay.remove(departed)
+        before = list(overlay._epochs)
+        overlay.invalidate_routing_tables([ids[1], ids[1], departed, 10**6])
+        expected = list(before)
+        expected[15] += 1
+        assert overlay._epochs == expected
 
     def test_bump_all_touches_every_shard(self):
-        store = ShardedNodeStore(1)
-        store.bump_all()
-        assert store.epochs == [1, 1, 1, 1]
+        overlay, _ids = _two_cell_overlay()
+        before = list(overlay._epochs)
+        overlay.invalidate_routing_tables()
+        assert overlay._epochs == [epoch + 1 for epoch in before]
 
 
-def _twin_overlays(seed=3100, n_max=4096, shard_level=3):
-    """Two overlays differing only in shard level (sharded vs flat)."""
-    overlays = []
-    for level in (shard_level, 0):
-        overlays.append(VoroNet(VoroNetConfig(
-            n_max=n_max, num_long_links=1, seed=seed, shard_level=level)))
-    return overlays
+def _twin_overlays():
+    """Two overlays differing only in shard level: n_max 4096 derives level
+    2, n_max 1000 level 0 (one global epoch), and a shared explicit
+    ``d_min`` keeps close neighbours and long links identical."""
+    d_min = VoroNetConfig(n_max=4096).effective_d_min
+    sharded, flat = (VoroNet(VoroNetConfig(n_max=n_max, d_min=d_min,
+                                           num_long_links=1, seed=3100))
+                     for n_max in (4096, 1000))
+    assert sharded.config.effective_shard_level == 2
+    assert flat.config.effective_shard_level == 0
+    return sharded, flat
 
 
 class TestShardedFlatEquivalence:
-    def test_answers_identical_through_churn(self):
-        """Owners, hops and views stay byte-identical between the sharded
-        store and the flat baseline through bulk load + churn bursts."""
+    def test_answers_identical_through_churn(self, routing_reference):
+        """Owners, hops and views stay identical between a level-2 overlay
+        and its one-epoch twin through bulk load + churn bursts, and both
+        equal the per-hop reference: sharding changes when tables rebuild,
+        never what they contain."""
         sharded, flat = _twin_overlays()
-        assert sharded.shard_store.num_shards == 64
-        assert flat.shard_store.num_shards == 1
         pool = np.random.default_rng(31)
         batch = [tuple(p) for p in pool.random((300, 2))]
         sharded.bulk_load(batch)
@@ -189,42 +149,47 @@ class TestShardedFlatEquivalence:
             assert sharded.object_ids() == flat.object_ids()
             ids = sharded.object_ids()
             for object_id in probe.choice(ids, size=25, replace=False):
-                view_s = sharded.neighbor_view(int(object_id))
-                view_f = flat.neighbor_view(int(object_id))
-                assert view_s == view_f
+                assert sharded.neighbor_view(int(object_id)) == \
+                    flat.neighbor_view(int(object_id))
             for point in probe.random((25, 2)):
                 point = tuple(point)
-                assert sharded.owner_of(point) == flat.owner_of(point)
-                lookup_s = sharded.lookup(point)
-                lookup_f = flat.lookup(point)
-                assert (lookup_s.owner, lookup_s.hops) == \
-                    (lookup_f.owner, lookup_f.hops)
+                lookup = sharded.lookup(point)
+                assert sharded.owner_of(point) == lookup.owner
+                assert (lookup.owner, lookup.hops) == \
+                    routing_reference.reference_route(sharded, lookup.source,
+                                                      point)
+                lookup_f = flat.lookup(point, start=lookup.source)
+                assert (lookup_f.owner, lookup_f.hops) == \
+                    (lookup.owner, lookup.hops)
             for a, b in [probe.choice(ids, size=2, replace=False)
                          for _ in range(25)]:
-                route_s = sharded.route(int(a), int(b))
+                route = sharded.route(int(a), int(b))
+                routing_reference.assert_matches_reference(
+                    route, sharded, sharded.position_of(int(b)))
                 route_f = flat.route(int(a), int(b))
-                assert (route_s.owner, route_s.hops) == \
-                    (route_f.owner, route_f.hops)
+                assert (route_f.owner, route_f.hops) == \
+                    (route.owner, route.hops)
 
-        assert sharded.check_consistency() == []
-        assert flat.check_consistency() == []
+        for overlay in (sharded, flat):
+            assert overlay.check_consistency() == []
+            routing_reference.assert_tables_match_views(overlay)
 
-    def test_store_tracks_membership_through_churn(self):
-        overlay = VoroNet(VoroNetConfig(n_max=1024, seed=33, shard_level=2))
-        ids = overlay.bulk_load(
-            [tuple(p) for p in np.random.default_rng(33).random((80, 2))])
-        store = overlay.shard_store
-        assert len(store) == len(overlay)
-        for object_id in ids[:10]:
+
+class TestEntryShards:
+    def test_every_cached_entry_shard_is_its_position_cell(self):
+        overlay = VoroNet(VoroNetConfig(n_max=4096, seed=57))
+        rng = np.random.default_rng(57)
+        ids = overlay.bulk_load([tuple(p) for p in rng.random((200, 2))])
+        for object_id in ids[:30]:
             overlay.remove(object_id)
-            assert object_id not in store
-        assert len(store) == len(overlay)
-        for object_id in overlay.object_ids():
-            assert store.shard_of(object_id) == store.shard_of_point(
-                *overlay.position_of(object_id))
+        for point in rng.random((30, 2)):
+            overlay.insert(tuple(point))
+        # Corners and edges clamp into the last row/column.
+        overlay.bulk_load([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0)])
+        _assert_entry_shards_match_cells(overlay)
 
 
-def _corner_overlay(shard_level):
+def _corner_overlay(n_max):
     """Filler grid plus dense corner clusters A (0.1,0.1) and B (0.9,0.9).
 
     The filler keeps Delaunay adjacency local, so churn inside cluster A
@@ -232,8 +197,7 @@ def _corner_overlay(shard_level):
     removes the one link type whose invalidation legitimately crosses the
     square.
     """
-    overlay = VoroNet(VoroNetConfig(
-        n_max=4096, num_long_links=0, seed=77, shard_level=shard_level))
+    overlay = VoroNet(VoroNetConfig(n_max=n_max, num_long_links=0, seed=77))
     filler = [((i + 0.5) / 12, (j + 0.5) / 12)
               for i in range(12) for j in range(12)]
     rng = np.random.default_rng(77)
@@ -246,7 +210,8 @@ def _corner_overlay(shard_level):
 
 class TestPerShardInvalidation:
     def test_churn_in_one_shard_leaves_distant_tables_warm(self):
-        overlay, b_ids = _corner_overlay(shard_level=2)
+        overlay, b_ids = _corner_overlay(n_max=4096)
+        assert overlay.config.effective_shard_level == 2
         for object_id in b_ids:
             overlay.routing_table(object_id)
         # Insert + remove inside cluster A, far from every B shard.  (The
@@ -260,7 +225,8 @@ class TestPerShardInvalidation:
         assert overlay.stats.routing_table_rebuilds == before
 
     def test_flat_baseline_rebuilds_everything(self):
-        overlay, b_ids = _corner_overlay(shard_level=0)
+        overlay, b_ids = _corner_overlay(n_max=1000)
+        assert overlay.config.effective_shard_level == 0
         for object_id in b_ids:
             overlay.routing_table(object_id)
         victim = overlay.insert((0.1, 0.12))
@@ -274,7 +240,7 @@ class TestPerShardInvalidation:
     def test_churn_inside_shard_does_invalidate_it(self):
         """Sanity check that the targeted bump is not simply never firing:
         churn next to cluster B must rebuild B's tables."""
-        overlay, b_ids = _corner_overlay(shard_level=2)
+        overlay, b_ids = _corner_overlay(n_max=4096)
         for object_id in b_ids:
             overlay.routing_table(object_id)
         victim = overlay.insert((0.9, 0.91))
@@ -284,6 +250,9 @@ class TestPerShardInvalidation:
             overlay.routing_table(object_id)
         assert overlay.stats.routing_table_rebuilds > before
 
+
+#: Level 3 (grid pitch 1/8) derives from this n_max.
+_LEVEL3_N_MAX = 16384
 
 #: Coordinates on and around level-3 shard boundaries (grid pitch 1/8),
 #: including the square's edges and exact grid lines.
@@ -301,24 +270,18 @@ class TestShardBoundaryHypothesis:
     @given(points=st.lists(st.tuples(_boundary_coord, _boundary_coord),
                            min_size=1, max_size=40, unique=True),
            removals=st.lists(st.integers(min_value=0), max_size=20))
-    def test_store_consistent_under_boundary_churn(self, points, removals):
-        store = ShardedNodeStore(3)
-        for object_id, point in enumerate(points):
-            shard = store.insert(object_id, point)
-            assert shard == store.shard_of_point(point[0], point[1])
-        alive = dict(enumerate(points))
+    def test_entry_shards_match_cells_under_boundary_churn(self, points,
+                                                          removals):
+        overlay = VoroNet(VoroNetConfig(n_max=_LEVEL3_N_MAX, seed=5))
+        assert overlay.config.effective_shard_level == 3
+        for point in points:
+            overlay.insert(point)
         for token in removals:
-            if not alive:
+            ids = overlay.object_ids()
+            if len(ids) <= 1:
                 break
-            object_id = sorted(alive)[token % len(alive)]
-            assert store.discard(object_id) is not None
-            del alive[object_id]
-        assert len(store) == len(alive)
-        for object_id, point in alive.items():
-            assert store.shard_of(object_id) == \
-                store.shard_of_point(point[0], point[1])
-        total = sum(store.shard_count(s) for s in range(store.num_shards))
-        assert total == len(alive)
+            overlay.remove(sorted(ids)[token % len(ids)])
+        _assert_entry_shards_match_cells(overlay)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -327,7 +290,8 @@ class TestShardBoundaryHypothesis:
     @example(seed=960)
     @example(seed=1328)
     @example(seed=58232)
-    def test_overlay_boundary_inserts_keep_store_in_sync(self, seed):
+    def test_overlay_boundary_churn_matches_reference(self, seed,
+                                                      routing_reference):
         """Overlay-level churn with positions snapped near shard lines."""
         rng = np.random.default_rng(seed)
         snapped = np.round(rng.random((24, 2)) * 8) / 8
@@ -337,16 +301,18 @@ class TestShardBoundaryHypothesis:
         _cells, first = np.unique(snapped, axis=0, return_index=True)
         keep = np.sort(first)
         points = np.clip(snapped[keep] + jitter[keep], 0.0, 1.0)
-        overlay = VoroNet(VoroNetConfig(
-            n_max=2048, seed=seed, shard_level=3, num_long_links=1))
+        overlay = VoroNet(VoroNetConfig(n_max=_LEVEL3_N_MAX, seed=seed,
+                                        num_long_links=1))
         ids = []
         for point in points:
             ids.append(overlay.insert(tuple(point)))
         for object_id in ids[: len(ids) // 2]:
             overlay.remove(object_id)
         assert overlay.check_consistency() == []
-        store = overlay.shard_store
-        assert len(store) == len(overlay)
-        for object_id in overlay.object_ids():
-            assert store.shard_of(object_id) == store.shard_of_point(
-                *overlay.position_of(object_id))
+        alive = overlay.object_ids()
+        for source in alive:
+            for target in alive:
+                routing_reference.assert_matches_reference(
+                    overlay.route(source, target), overlay,
+                    overlay.position_of(target))
+        _assert_entry_shards_match_cells(overlay)
